@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .euler_core import ConservedState, physical_flux, sound_speed
+from .euler_core import ConservedState, physical_flux
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
@@ -110,6 +110,24 @@ def basis_values(degree: int, xi) -> np.ndarray:
     return V * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
 
 
+def basis_table(degree: int, xi_nodes) -> np.ndarray:
+    """``basis_values`` at a 1D node set, cached and read-only; (n, degree+1).
+
+    The table keeps the memory layout ``basis_values`` gives it, which is not
+    C-contiguous: einsum rounds differently over a contiguous copy, and the
+    contractions over this table must round as over a fresh one.
+    """
+    nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
+    return _basis_table(degree, nodes.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _basis_table(degree: int, nodes: bytes) -> np.ndarray:
+    V = basis_values(degree, np.frombuffer(nodes))
+    V.flags.writeable = False
+    return V
+
+
 def basis_derivatives(degree: int, xi) -> np.ndarray:
     """Reference-coordinate derivatives of the orthonormal basis."""
     xi = np.asarray(xi, dtype=float)
@@ -167,7 +185,7 @@ def evaluate(fld: DGField, cell: int, xi) -> ConservedState:
 
 def evaluate_at_nodes(fld: DGField, xi_nodes) -> np.ndarray:
     """Values of every cell polynomial at shared reference nodes; (n_cells, 3, n)."""
-    V = basis_values(fld.degree, np.atleast_1d(xi_nodes))
+    V = basis_table(fld.degree, xi_nodes)
     return np.einsum("cvj,nj->cvn", fld.coeffs, V)
 
 
@@ -216,7 +234,7 @@ def global_max_signal_speed(fld: DGField, gamma: float,
                             rule: QuadratureRule) -> float:
     """Max of |u| + c over all cells at the given reference nodes."""
     vals = evaluate_at_nodes(fld, rule.nodes)
-    rho, m, E = vals[:, 0], vals[:, 1], vals[:, 2]
+    rho, m, E = np.ascontiguousarray(vals.transpose(1, 0, 2))
     bad = rho <= 0.0
     if np.any(bad):
         cell = int(np.argwhere(bad.any(axis=1))[0][0])
@@ -226,7 +244,15 @@ def global_max_signal_speed(fld: DGField, gamma: float,
     if np.any(bad):
         cell = int(np.argwhere(bad.any(axis=1))[0][0])
         raise ValueError(f"negative pressure at test node of cell {cell}")
-    return float(np.max(np.abs(m / rho) + sound_speed(rho, p, gamma)))
+    return float(np.max(np.abs(m / rho) + np.sqrt(gamma * p / rho)))
+
+
+def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """``physical_flux`` arithmetic for arrays whose density is known nonzero."""
+    u = m / rho
+    p = (gamma - 1.0) * (E - 0.5 * m**2 / rho)
+    return np.stack([m, m * u + p, (E + p) * u])
 
 
 @lru_cache(maxsize=None)
@@ -254,14 +280,15 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
         raise ValueError("inflow_outflow boundary needs an inflow_left state")
     vol, Vq, Dq, phi_left, phi_right = _operator_tables(fld.degree)
 
-    vals = np.einsum("cvj,qj->vcq", fld.coeffs, Vq)
+    # contiguous per variable, so the flux's elementwise passes vectorize
+    vals = np.ascontiguousarray(np.einsum("cvj,qj->vcq", fld.coeffs, Vq))
     rho = vals[0]
     if np.any(rho == 0.0):
         cell = int(np.argwhere((rho == 0.0).any(axis=1))[0][0])
         raise ZeroDivisionError(
             f"zero density at volume node of cell {cell}; limiter should have prevented this")
-    F = physical_flux(ConservedState(rho, vals[1], vals[2]), gamma)
-    volume = np.einsum("vcq,q,qj->cvj", F, vol.weights, Dq)
+    F = _euler_flux(rho, vals[1], vals[2], gamma)
+    volume = np.einsum("vcq,qj->cvj", F * vol.weights, Dq)
 
     trace_l = np.einsum("cvj,j->vc", fld.coeffs, phi_left)
     trace_r = np.einsum("cvj,j->vc", fld.coeffs, phi_right)
@@ -277,8 +304,9 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
         wR = np.concatenate([trace_l, trace_r[:, -1:]], axis=1)
     if np.any(wL[0] == 0.0) or np.any(wR[0] == 0.0):
         raise ZeroDivisionError("zero density at a cell interface trace")
-    fluxes = lax_friedrichs_flux(ConservedState(*wL), ConservedState(*wR),
-                                 alpha, gamma)  # (3, n_cells+1)
+    # lax_friedrichs_flux's arithmetic, without its per-call checks
+    fluxes = 0.5 * (_euler_flux(*wL, gamma) + _euler_flux(*wR, gamma)) \
+        - 0.5 * alpha * (wR - wL)  # (3, n_cells+1)
 
     resid = volume
     resid -= np.einsum("vc,j->cvj", fluxes[:, 1:], phi_right)

@@ -8,6 +8,7 @@ Shu-Osher problem referenced against a fine-grid self-run.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -72,6 +73,12 @@ class RunConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.limiter_placement not in (PER_STAGE, PER_STEP):
             raise ConfigError(f"unknown placement {self.limiter_placement!r}")
+        for name in ("gamma", "epsilon", "cfl_fraction", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.cfl_fraction is not None and self.cfl_fraction <= 0.0:
+            raise ConfigError("cfl_fraction must be positive")
         if self.t_final is not None and self.t_final < 0.0:
             raise ConfigError("t_final must be nonnegative")
         if self.gamma <= 1.0:

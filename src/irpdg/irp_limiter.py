@@ -10,10 +10,11 @@ nodes.  The positivity-only variant drops the entropy constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .dg_space import DGField, Mesh1D, QuadratureRule, basis_values, \
+from .dg_space import DGField, Mesh1D, QuadratureRule, basis_table, \
     gauss_lobatto_rule, test_set_size
 from .euler_core import ConservedState, InvariantRegion
 
@@ -97,13 +98,24 @@ class FieldLimiterReport:
             q_max=float(self.q_max[i]), activated=bool(self.activated[i]))
 
 
+def _node_states(coeffs: np.ndarray, region: InvariantRegion,
+                 V: np.ndarray):
+    """(rho, p) at the test nodes of each cell, each (n_cells, n_nodes).
+
+    p comes straight from the formula and may be nan or inf.  The einsum
+    result is laid out cell by cell; the contiguous copy lets the
+    elementwise passes below run over whole blocks.
+    """
+    rho, m, E = np.ascontiguousarray(np.einsum("cvj,nj->vcn", coeffs, V))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+    return rho, p
+
+
 def _node_quantities(coeffs: np.ndarray, region: InvariantRegion,
                      V: np.ndarray):
     """(rho, p, q) at the test nodes of each cell; q is +inf where undefined."""
-    vals = np.einsum("cvj,nj->vcn", coeffs, V)
-    rho, m, E = vals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+    rho, p = _node_states(coeffs, region, V)
     p = np.where(np.isfinite(p), p, -np.inf)
     q = np.full(rho.shape, np.inf)
     pos = (rho > 0.0) & (p > 0.0)
@@ -111,6 +123,19 @@ def _node_quantities(coeffs: np.ndarray, region: InvariantRegion,
         s = np.log(p[pos]) - region.gamma * np.log(rho[pos])
         q[pos] = (region.s0 - s) * rho[pos]
     return rho, p, q
+
+
+def _node_min(a: np.ndarray) -> np.ndarray:
+    """Per-cell minimum over the node columns of a (n_cells, n_nodes) array.
+
+    Equals ``a.min(axis=1)`` bit for bit (nan propagates alike); a handful of
+    whole-column ufunc calls beat a reduction over rows of 2-4 nodes.
+    """
+    return reduce(np.minimum, a.T)
+
+
+def _node_max(a: np.ndarray) -> np.ndarray:
+    return reduce(np.maximum, a.T)
 
 
 def _valid_extrema(coeffs: np.ndarray, region: InvariantRegion,
@@ -122,20 +147,17 @@ def _valid_extrema(coeffs: np.ndarray, region: InvariantRegion,
     Nodes excluded here become visible on the next rescaling round, once the
     preceding constraint has pulled them into the valid cone.
     """
-    vals = np.einsum("cvj,nj->vcn", coeffs, V)
-    rho, m, E = vals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+    rho, p = _node_states(coeffs, region, V)
     rho_ok = rho > 0.0
     p_masked = np.where(rho_ok, p, np.inf)
-    p_min = p_masked.min(axis=1)  # +inf when no node is rho-valid
+    p_min = _node_min(p_masked)  # +inf when no node is rho-valid
     q_masked = np.full(rho.shape, -np.inf)
     pos = rho_ok & (p > 0.0)
     if pos.any():
         s = np.log(p[pos]) - region.gamma * np.log(rho[pos])
         q_masked[pos] = (region.s0 - s) * rho[pos]
-    q_max = q_masked.max(axis=1)  # -inf when no node is fully valid
-    return rho.min(axis=1), p_min, q_max
+    q_max = _node_max(q_masked)  # -inf when no node is fully valid
+    return _node_min(rho), p_min, q_max
 
 
 def default_rule(degree: int) -> QuadratureRule:
@@ -146,7 +168,7 @@ def default_rule(degree: int) -> QuadratureRule:
 def test_set_extrema(fld: DGField, cell: int, region: InvariantRegion,
                      rule: QuadratureRule):
     """(rho_min, p_min, q_max) over one cell's Gauss-Lobatto nodes."""
-    V = basis_values(fld.degree, rule.nodes)
+    V = basis_table(fld.degree, rule.nodes)
     rho, p, q = _node_quantities(fld.coeffs[cell:cell + 1], region, V)
     return float(rho.min()), float(p.min()), float(q.max())
 
@@ -227,9 +249,21 @@ def apply_limiter(fld: DGField, cell: int, theta: float) -> None:
 def _nodes_admissible(coeffs: np.ndarray, region: InvariantRegion,
                       V: np.ndarray, use_q: bool) -> np.ndarray:
     rho, p, q = _node_quantities(coeffs, region, V)
-    ok = (rho >= region.eps).all(axis=1) & (p >= region.eps).all(axis=1)
+    ok = reduce(np.logical_and, ((rho >= region.eps) & (p >= region.eps)).T)
     if use_q:
-        ok &= (q <= Q_SLACK).all(axis=1)
+        ok &= reduce(np.logical_and, (q <= Q_SLACK).T)
+    return ok
+
+
+def _interior_mask(rho, m, E, region: InvariantRegion,
+                   need_q: bool) -> np.ndarray:
+    """Vectorized ``_check_interior``: True where the average passes it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+        ok = (rho > region.eps) & (p > region.eps)
+        if need_q:
+            q = (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
+            ok &= q < 0.0
     return ok
 
 
@@ -254,8 +288,9 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         raise ValueError(f"unknown limiter kind {kind!r}")
     n = fld.n_cells
     rule = default_rule(fld.degree)
-    V = basis_values(fld.degree, rule.nodes)
+    V = basis_table(fld.degree, rule.nodes)
     rho_n, p_n, q_n = _node_quantities(fld.coeffs, region, V)
+    rho_min = _node_min(rho_n)
 
     theta = np.ones(n)
     theta1 = np.full(n, np.inf)
@@ -263,9 +298,9 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     theta3 = np.full(n, np.inf)
     out = fld.copy()
     report = FieldLimiterReport(theta, theta1, theta2, theta3,
-                                rho_min=rho_n.min(axis=1),
-                                p_min=p_n.min(axis=1),
-                                q_max=q_n.max(axis=1),
+                                rho_min=rho_min,
+                                p_min=_node_min(p_n),
+                                q_max=_node_max(q_n),
                                 activated=np.zeros(n, dtype=bool))
     if kind == LIMITER_NONE:
         return out, report
@@ -277,7 +312,6 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     E_avg = coeffs[:, 2, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         p_avg = (region.gamma - 1.0) * (E_avg - 0.5 * m_avg**2 / rho_avg)
-    checked = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
 
     def _ratio(num, den):
@@ -287,9 +321,8 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     for round_idx in range(3):
         if round_idx == 0:
             # reuse the report evaluation, masked to the valid cone
-            rho_min = rho_n.min(axis=1)
-            p_min = np.where(rho_n > 0.0, p_n, np.inf).min(axis=1)
-            q_max = np.where(np.isfinite(q_n), q_n, -np.inf).max(axis=1)
+            p_min = _node_min(np.where(rho_n > 0.0, p_n, np.inf))
+            q_max = _node_max(np.where(np.isfinite(q_n), q_n, -np.inf))
         else:
             rho_min, p_min, q_max = _valid_extrema(coeffs, region, V)
         a1 = rho_min < region.eps
@@ -298,10 +331,13 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         active = a1 | a2 | a3
         if not active.any():
             break
-        for c in np.flatnonzero(active & ~checked):
+        # Averages never change, so a cell that passed once passes again;
+        # the scalar check raises on the first failing cell with its message.
+        cells = np.flatnonzero(active)
+        for c in cells[~_interior_mask(rho_avg[cells], m_avg[cells],
+                                       E_avg[cells], region, use_q)]:
             _check_interior(ConservedState(rho_avg[c], m_avg[c], E_avg[c]),
                             region, use_q, int(c))
-            checked[c] = True
         t1 = np.full(n, np.inf)
         t2 = np.full(n, np.inf)
         t3 = np.full(n, np.inf)

@@ -10,6 +10,7 @@ self-similar solution is sampled by wave-fan logic in xi = x/t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -209,12 +210,7 @@ def reference_on_mesh(problem: RiemannProblem, mesh: Mesh1D, t: float,
     return np.einsum("vcq,q->cv", vals, rule.weights)
 
 
-_star_cache: dict = {}
-
-
+@lru_cache(maxsize=64)
 def star_of(problem: RiemannProblem) -> StarState:
     """Memoized solve_star keyed on the problem definition."""
-    key = (problem.left, problem.right, problem.gamma, problem.x0)
-    if key not in _star_cache:
-        _star_cache[key] = solve_star(problem)
-    return _star_cache[key]
+    return solve_star(problem)

@@ -106,14 +106,21 @@ def compute_dt(fld: DGField, mesh: Mesh1D, controller: TimeController,
     """CFL-limited step dt = cfl * (w1/2) * h / max_speed, clipped at t_final."""
     rule = gauss_lobatto_rule(test_set_size(fld.degree))
     speed = global_max_signal_speed(fld, gamma, rule)
+    return _dt_for_speed(speed, mesh, controller, t_final)
+
+
+def _dt_for_speed(speed: float, mesh: Mesh1D, controller: TimeController,
+                  t_final: float | None) -> float:
+    """``compute_dt`` for an already evaluated maximum signal speed."""
     if speed <= 0.0:
         raise ValueError("nonpositive maximum signal speed; degenerate state")
     dt = controller.cfl_fraction * 0.5 * controller.w_hat_1 * mesh.h / speed
     if t_final is not None and controller.t + dt > t_final:
         dt = t_final - controller.t
     lam = dt / mesh.h
-    assert lam * speed <= 0.5 * controller.w_hat_1 * controller.cfl_fraction \
-        * (1.0 + 1e-12), "CFL invariant violated"
+    if not lam * speed <= 0.5 * controller.w_hat_1 * controller.cfl_fraction \
+            * (1.0 + 1e-12):
+        raise ValueError("CFL invariant violated")
     return dt
 
 
@@ -250,10 +257,11 @@ def _evolve_rk3(fld, mesh, region, opts, controller, limit, diagnostics,
                 theta_last, inflow_left=None):
     gamma = region.gamma
     per_stage = opts.placement == PER_STAGE
+    rule = gauss_lobatto_rule(test_set_size(fld.degree))
     while opts.t_final - controller.t > _END_TOL * max(1.0, opts.t_final):
-        dt = compute_dt(fld, mesh, controller, gamma, opts.t_final)
-        rule = gauss_lobatto_rule(test_set_size(fld.degree))
+        # one wave-speed evaluation gives both the flux's alpha and the step
         alpha = global_max_signal_speed(fld, gamma, rule)
+        dt = _dt_for_speed(alpha, mesh, controller, opts.t_final)
 
         def rhs(f: DGField) -> np.ndarray:
             return spatial_operator(f, mesh, gamma, alpha, inflow_left)

@@ -76,6 +76,13 @@ class TestRunConfigValidation:
     def test_valid_config_passes(self):
         RunConfig(problem="smooth_advection").validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.nan), ("epsilon", math.inf), ("cfl_fraction", math.nan),
+        ("t_final", math.inf), ("cfl_fraction", 0.0), ("cfl_fraction", -0.5)])
+    def test_rejects_nonfinite_and_nonpositive_cfl(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(problem="lax", **{field: value}).validate()
+
 
 class TestErrorNorms:
     def setup_method(self):
@@ -236,6 +243,22 @@ class TestCli:
 
     def test_missing_problem_exits_2(self):
         assert cli_main(["solve"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--cfl", "0"], ["--cfl", "-0.5"], ["--cfl", "nan"],
+        ["--gamma", "nan"], ["--eps", "nan"], ["--tfinal", "inf"]])
+    def test_bad_numbers_exit_2_at_once(self, flags, tmp_path):
+        # a subprocess with a timeout, because --cfl 0 used to step forever
+        code = ("import sys, time; from irpdg.cli import main; "
+                "t = time.perf_counter(); code = main(sys.argv[1:]); "
+                "print(time.perf_counter() - t); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--problem", "lax", *flags,
+             "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert float(proc.stdout) < 1.0
+        assert not (tmp_path / "never.csv").exists()
 
     def test_converge_smoke(self, tmp_path):
         out = str(tmp_path / "conv.csv")

@@ -66,6 +66,15 @@ class TestComputeDt:
                          ctrl, GAMMA)
         assert dt2 == pytest.approx(2 * dt1, rel=1e-12)
 
+    def test_cfl_invariant_is_a_real_check(self):
+        # nan energy slips past the wave speed's sign checks; the invariant
+        # raises ValueError, which survives ``python -O`` unlike an assert
+        fld = constant_field(4, 2, 1.0, 0.0, 1.0)
+        fld.coeffs[2, 2, 0] = np.nan
+        ctrl = TimeController(cfl_fraction=1.0, w_hat_1=1.0 / 6.0)
+        with pytest.raises(ValueError, match="CFL invariant violated"):
+            compute_dt(fld, Mesh1D(0.0, 1.0, 4), ctrl, GAMMA)
+
 
 class TestSspRk3:
     def test_zero_rhs_identity(self):
