@@ -292,21 +292,25 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
 
     trace_l = np.einsum("cvj,j->vc", fld.coeffs, phi_left)
     trace_r = np.einsum("cvj,j->vc", fld.coeffs, phi_right)
+    # states on the left (w[:, 0]) and right (w[:, 1]) of each interface
+    w = np.empty((3, 2, fld.n_cells + 1))
+    w[:, 0, 1:] = trace_r
+    w[:, 1, :-1] = trace_l
     if mesh.boundary == PERIODIC:
-        wL = np.concatenate([trace_r[:, -1:], trace_r], axis=1)
-        wR = np.concatenate([trace_l, trace_l[:, :1]], axis=1)
+        w[:, 0, 0] = trace_r[:, -1]
+        w[:, 1, -1] = trace_l[:, 0]
     elif mesh.boundary == INFLOW_OUTFLOW:
-        ghost = np.asarray(inflow_left, dtype=float).reshape(3, 1)
-        wL = np.concatenate([ghost, trace_r], axis=1)
-        wR = np.concatenate([trace_l, trace_r[:, -1:]], axis=1)
+        w[:, 0, 0] = inflow_left
+        w[:, 1, -1] = trace_r[:, -1]
     else:  # outflow: ghost states copy the interior trace
-        wL = np.concatenate([trace_l[:, :1], trace_r], axis=1)
-        wR = np.concatenate([trace_l, trace_r[:, -1:]], axis=1)
-    if np.any(wL[0] == 0.0) or np.any(wR[0] == 0.0):
+        w[:, 0, 0] = trace_l[:, 0]
+        w[:, 1, -1] = trace_r[:, -1]
+    if np.any(w[0] == 0.0):
         raise ZeroDivisionError("zero density at a cell interface trace")
     # lax_friedrichs_flux's arithmetic, without its per-call checks
-    fluxes = 0.5 * (_euler_flux(*wL, gamma) + _euler_flux(*wR, gamma)) \
-        - 0.5 * alpha * (wR - wL)  # (3, n_cells+1)
+    Fw = _euler_flux(*w, gamma)  # both sides in one call
+    fluxes = 0.5 * (Fw[:, 0] + Fw[:, 1]) \
+        - 0.5 * alpha * (w[:, 1] - w[:, 0])  # (3, n_cells+1)
 
     resid = volume
     resid -= np.einsum("vc,j->cvj", fluxes[:, 1:], phi_right)

@@ -85,9 +85,17 @@ class RunConfig:
             raise ConfigError("gamma must exceed 1")
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
-        if self.problem == CUSTOM_RIEMANN and (self.left is None
-                                               or self.right is None):
-            raise ConfigError("custom-riemann needs left and right states")
+        if self.problem == CUSTOM_RIEMANN:
+            if self.left is None or self.right is None:
+                raise ConfigError("custom-riemann needs left and right states")
+            for side in ("left", "right"):
+                rho, u, p = getattr(self, side)
+                if not all(math.isfinite(v) for v in (rho, u, p)):
+                    raise ConfigError(f"{side} state must be finite, got "
+                                      f"{rho},{u},{p}")
+                if rho <= 0.0 or p <= 0.0:
+                    raise ConfigError(f"{side} state needs positive density "
+                                      f"and pressure, got {rho},{u},{p}")
 
 
 @dataclass

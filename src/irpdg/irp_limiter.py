@@ -107,22 +107,14 @@ def _node_states(coeffs: np.ndarray, region: InvariantRegion,
     elementwise passes below run over whole blocks.
     """
     rho, m, E = np.ascontiguousarray(np.einsum("cvj,nj->vcn", coeffs, V))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
     return rho, p
 
 
-def _node_quantities(coeffs: np.ndarray, region: InvariantRegion,
-                     V: np.ndarray):
-    """(rho, p, q) at the test nodes of each cell; q is +inf where undefined."""
-    rho, p = _node_states(coeffs, region, V)
-    p = np.where(np.isfinite(p), p, -np.inf)
-    q = np.full(rho.shape, np.inf)
-    pos = (rho > 0.0) & (p > 0.0)
-    if pos.any():
-        s = np.log(p[pos]) - region.gamma * np.log(rho[pos])
-        q[pos] = (region.s0 - s) * rho[pos]
-    return rho, p, q
+def _entropy_functional(rho, p, region: InvariantRegion):
+    """q = (s0 - s) * rho with s = log(p / rho^gamma); needs rho > 0, p > 0."""
+    return (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
 
 
 def _node_min(a: np.ndarray) -> np.ndarray:
@@ -138,26 +130,74 @@ def _node_max(a: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, a.T)
 
 
-def _valid_extrema(coeffs: np.ndarray, region: InvariantRegion,
-                   V: np.ndarray):
-    """Per-cell extrema restricted to nodes where each quantity is meaningful.
+def _positive_cone(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Nodes where rho > 0 and p is finite and > 0, so that q is defined."""
+    return (rho > 0.0) & (p > 0.0) & (p < np.inf)
 
-    The pressure formula only represents a pressure where rho > 0, and q
-    needs rho > 0 and p > 0; extrema over other nodes would compare garbage.
-    Nodes excluded here become visible on the next rescaling round, once the
-    preceding constraint has pulled them into the valid cone.
+
+def _first_pass(coeffs: np.ndarray, region: InvariantRegion, V: np.ndarray):
+    """The report's and round 0's extrema from one node pass over every cell.
+
+    Returns (rho_min, p_min, q_max, p_min0, q_max0).  The report counts a
+    non-finite pressure as -inf and q outside the positive cone as +inf.
+    Round 0 takes p_min0 over the nodes with rho > 0 only and q_max0 over
+    the finite values of q only.  When every node is in the positive cone
+    (the common case) the two agree, and no mask is built.
     """
     rho, p = _node_states(coeffs, region, V)
-    rho_ok = rho > 0.0
-    p_masked = np.where(rho_ok, p, np.inf)
-    p_min = _node_min(p_masked)  # +inf when no node is rho-valid
-    q_masked = np.full(rho.shape, -np.inf)
-    pos = rho_ok & (p > 0.0)
-    if pos.any():
-        s = np.log(p[pos]) - region.gamma * np.log(rho[pos])
-        q_masked[pos] = (region.s0 - s) * rho[pos]
-    q_max = _node_max(q_masked)  # -inf when no node is fully valid
-    return _node_min(rho), p_min, q_max
+    rho_min = _node_min(rho)
+    cone = _positive_cone(rho, p)
+    if cone.all():
+        p_min = _node_min(p)
+        q = _entropy_functional(rho, p, region)
+        q_max = _node_max(q)
+        if np.isfinite(q_max).all():
+            return rho_min, p_min, q_max, p_min, q_max
+        return rho_min, p_min, q_max, p_min, \
+            _node_max(np.where(np.isfinite(q), q, -np.inf))
+    p = np.where(np.isfinite(p), p, -np.inf)
+    q = np.full(rho.shape, np.inf)
+    q[cone] = _entropy_functional(rho[cone], p[cone], region)
+    return (rho_min, _node_min(p), _node_max(q),
+            _node_min(np.where(rho > 0.0, p, np.inf)),
+            _node_max(np.where(np.isfinite(q), q, -np.inf)))
+
+
+def _round_pass(coeffs: np.ndarray, region: InvariantRegion, V: np.ndarray,
+                use_q: bool):
+    """One rescaling round's node pass: (rho_min, p_min, q_max, admissible).
+
+    The extrema are restricted to nodes where each quantity is meaningful.
+    The pressure formula only represents a pressure where rho > 0, and q
+    needs rho > 0 and p > 0; extrema over other nodes would compare garbage.
+    Nodes excluded here become visible on the next round, once the preceding
+    constraint has pulled them into the valid cone.  q_max is None without
+    ``use_q``.  ``admissible`` is the fallback's test: every node has
+    rho >= eps, a finite p >= eps and (with ``use_q``) q <= Q_SLACK.
+    """
+    rho, p = _node_states(coeffs, region, V)
+    eps = region.eps
+    rho_min = _node_min(rho)
+    cone = _positive_cone(rho, p)
+    if cone.all():
+        # nothing to mask, and the extrema decide admissibility alone
+        p_min = _node_min(p)
+        ok = (rho_min >= eps) & (p_min >= eps)
+        if not use_q:
+            return rho_min, p_min, None, ok
+        q_max = _node_max(_entropy_functional(rho, p, region))
+        return rho_min, p_min, q_max, ok & (q_max <= Q_SLACK)
+    # p_min is +inf where no node has rho > 0
+    p_min = _node_min(np.where(rho > 0.0, p, np.inf))
+    p_finite = np.where(np.isfinite(p), p, -np.inf)
+    ok = reduce(np.logical_and, ((rho >= eps) & (p_finite >= eps)).T)
+    if not use_q:
+        return rho_min, p_min, None, ok
+    pos = (rho > 0.0) & (p > 0.0)
+    q = np.full(rho.shape, -np.inf)
+    q[pos] = _entropy_functional(rho[pos], p[pos], region)
+    ok &= reduce(np.logical_and, (np.where(cone, q, np.inf) <= Q_SLACK).T)
+    return rho_min, p_min, _node_max(q), ok  # q_max -inf: no node in the cone
 
 
 def default_rule(degree: int) -> QuadratureRule:
@@ -169,8 +209,9 @@ def test_set_extrema(fld: DGField, cell: int, region: InvariantRegion,
                      rule: QuadratureRule):
     """(rho_min, p_min, q_max) over one cell's Gauss-Lobatto nodes."""
     V = basis_table(fld.degree, rule.nodes)
-    rho, p, q = _node_quantities(fld.coeffs[cell:cell + 1], region, V)
-    return float(rho.min()), float(p.min()), float(q.max())
+    rho_min, p_min, q_max = _first_pass(fld.coeffs[cell:cell + 1], region,
+                                        V)[:3]
+    return float(rho_min[0]), float(p_min[0]), float(q_max[0])
 
 
 def _check_interior(avg: ConservedState, region: InvariantRegion,
@@ -187,7 +228,7 @@ def _check_interior(avg: ConservedState, region: InvariantRegion,
             f"average pressure {p} not above eps{where}", cell=cell)
     if not need_q:
         return rho, p, None
-    q = (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
+    q = _entropy_functional(rho, p, region)
     if not q < 0.0:
         raise RegionViolationError(
             f"average entropy functional q={q} not negative{where}", cell=cell)
@@ -246,25 +287,10 @@ def apply_limiter(fld: DGField, cell: int, theta: float) -> None:
     fld.coeffs[cell, :, 1:] *= theta
 
 
-def _nodes_admissible(coeffs: np.ndarray, region: InvariantRegion,
-                      V: np.ndarray, use_q: bool) -> np.ndarray:
-    rho, p, q = _node_quantities(coeffs, region, V)
-    ok = reduce(np.logical_and, ((rho >= region.eps) & (p >= region.eps)).T)
-    if use_q:
-        ok &= reduce(np.logical_and, (q <= Q_SLACK).T)
-    return ok
-
-
-def _interior_mask(rho, m, E, region: InvariantRegion,
-                   need_q: bool) -> np.ndarray:
-    """Vectorized ``_check_interior``: True where the average passes it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
-        ok = (rho > region.eps) & (p > region.eps)
-        if need_q:
-            q = (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
-            ok &= q < 0.0
-    return ok
+def _ratio(num, den):
+    # ``_guarded_ratio`` for arrays
+    return np.where(den < _DENOM_GUARD, 0.0,
+                    num / np.maximum(den, _DENOM_GUARD))
 
 
 def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
@@ -283,14 +309,23 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     ratio for whatever is violated *and* evaluable.  Vacuum-adjacent cells
     need the extra rounds; cells with valid nodes finish in one, identical
     to the single-pass formula.
+
+    Each round evaluates the node states once, and only for the cells in
+    play.  One pass over every cell gives the report and round 0; when no
+    cell violates a constraint, the field is returned right after it.  The
+    thermodynamics of the cell averages are computed once, for the cells
+    in play.  Round 1 re-evaluates the cells that round 0 rescaled (and any
+    whose node entropy overflowed, which only round 0 skips); round 2 those
+    that round 1 rescaled.  Each of these passes also takes the fallback's
+    admissibility test for the cells it saw, so the fallback reads it from
+    there and evaluates afresh only the cells that round 2 rescaled after
+    their last pass.
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
     n = fld.n_cells
-    rule = default_rule(fld.degree)
-    V = basis_table(fld.degree, rule.nodes)
-    rho_n, p_n, q_n = _node_quantities(fld.coeffs, region, V)
-    rho_min = _node_min(rho_n)
+    V = basis_table(fld.degree, default_rule(fld.degree).nodes)
+    rho_min, p_min, q_max, p_min0, q_max0 = _first_pass(fld.coeffs, region, V)
 
     theta = np.ones(n)
     theta1 = np.full(n, np.inf)
@@ -298,78 +333,92 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     theta3 = np.full(n, np.inf)
     out = fld.copy()
     report = FieldLimiterReport(theta, theta1, theta2, theta3,
-                                rho_min=rho_min,
-                                p_min=_node_min(p_n),
-                                q_max=_node_max(q_n),
+                                rho_min=rho_min, p_min=p_min, q_max=q_max,
                                 activated=np.zeros(n, dtype=bool))
     if kind == LIMITER_NONE:
         return out, report
 
+    # Cells in play: those round 0 finds in violation, plus any that round 1
+    # could flag although unchanged, since it keeps a q that overflowed to
+    # +inf where round 0 drops it.  The report's q_max bounds both.
     use_q = kind == LIMITER_IRP
+    eps = region.eps
+    in_play = (rho_min < eps) | (p_min0 < eps)
+    if use_q:
+        in_play |= q_max > Q_SLACK
+    live = np.flatnonzero(in_play)
+    if not live.size:
+        return out, report
+
+    # Each constraint is written as a lower bound: rho >= eps, p >= eps and
+    # -q >= 0 (violated below -Q_SLACK).  The (n_con, cells) arrays below hold
+    # one row per constraint in force and one column per cell of ``live``.
+    n_con = 3 if use_q else 2
+    sign = np.array([1.0, 1.0, -1.0])[:n_con, None]
+    trigger = np.array([eps, eps, -Q_SLACK])[:n_con, None]
     coeffs = out.coeffs
-    rho_avg = coeffs[:, 0, 0]
-    m_avg = coeffs[:, 1, 0]
-    E_avg = coeffs[:, 2, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_avg = (region.gamma - 1.0) * (E_avg - 0.5 * m_avg**2 / rho_avg)
-    touched = np.zeros(n, dtype=bool)
+    rho_a, m_a, E_a = np.ascontiguousarray(coeffs[live, :, 0].T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_a = (region.gamma - 1.0) * (E_a - 0.5 * m_a**2 / rho_a)
+        inside = (rho_a > eps) & (p_a > eps)  # ``_check_interior`` passes
+        center = [rho_a, p_a]
+        if use_q:
+            q_a = _entropy_functional(rho_a, p_a, region)
+            inside &= q_a < 0.0
+            center.append(-q_a)
+    center = np.array(center)  # the averages' side of each bound
+    margin = center - np.array([eps, eps, 0.0])[:n_con, None]
 
-    def _ratio(num, den):
-        return np.where(den < _DENOM_GUARD, 0.0,
-                        num / np.maximum(den, _DENOM_GUARD))
-
+    lim = np.full((4, live.size), np.inf)  # theta, theta1, theta2, theta3
+    lim[0] = 1.0
+    touched = np.zeros(live.size, dtype=bool)
+    admissible = np.zeros(live.size, dtype=bool)  # as of the last pass
+    sel = np.arange(live.size)  # positions in ``live`` of the cells in play
+    extrema = np.array((rho_min, p_min0, q_max0)[:n_con])[:, live]
     for round_idx in range(3):
-        if round_idx == 0:
-            # reuse the report evaluation, masked to the valid cone
-            p_min = _node_min(np.where(rho_n > 0.0, p_n, np.inf))
-            q_max = _node_max(np.where(np.isfinite(q_n), q_n, -np.inf))
-        else:
-            rho_min, p_min, q_max = _valid_extrema(coeffs, region, V)
-        a1 = rho_min < region.eps
-        a2 = p_min < region.eps
-        a3 = (q_max > Q_SLACK) if use_q else np.zeros(n, dtype=bool)
-        active = a1 | a2 | a3
+        if round_idx:
+            r_min, pr_min, qr_max, admissible[sel] = _round_pass(
+                coeffs[live[sel]], region, V, use_q)
+            extrema = np.array((r_min, pr_min, qr_max)[:n_con])
+        lower = sign * extrema
+        violated = lower < trigger
+        active = reduce(np.logical_or, violated)
         if not active.any():
             break
+        act = sel[active]
         # Averages never change, so a cell that passed once passes again;
         # the scalar check raises on the first failing cell with its message.
-        cells = np.flatnonzero(active)
-        for c in cells[~_interior_mask(rho_avg[cells], m_avg[cells],
-                                       E_avg[cells], region, use_q)]:
-            _check_interior(ConservedState(rho_avg[c], m_avg[c], E_avg[c]),
-                            region, use_q, int(c))
-        t1 = np.full(n, np.inf)
-        t2 = np.full(n, np.inf)
-        t3 = np.full(n, np.inf)
-        t1[a1] = _ratio(rho_avg[a1] - region.eps, rho_avg[a1] - rho_min[a1])
-        t2[a2] = _ratio(p_avg[a2] - region.eps, p_avg[a2] - p_min[a2])
-        if a3.any():
-            q_avg = (region.s0 - (np.log(p_avg[a3])
-                                  - region.gamma * np.log(rho_avg[a3]))) \
-                * rho_avg[a3]
-            t3[a3] = _ratio(-q_avg, q_max[a3] - q_avg)
-        step = np.minimum(1.0, np.minimum(t1, np.minimum(t2, t3)))
-        coeffs[active, :, 1:] *= step[active, None, None]
-        theta[active] *= step[active]
-        touched |= active
-        theta1[a1] = np.where(np.isfinite(theta1[a1]), theta1[a1] * t1[a1],
-                              t1[a1])
-        theta2[a2] = np.where(np.isfinite(theta2[a2]), theta2[a2] * t2[a2],
-                              t2[a2])
-        theta3[a3] = np.where(np.isfinite(theta3[a3]), theta3[a3] * t3[a3],
-                              t3[a3])
+        for i in act[~inside[act]]:
+            c = int(live[i])
+            _check_interior(ConservedState(*coeffs[c, :, 0]), region, use_q, c)
+        # unviolated entries compute garbage, and np.where drops it
+        with np.errstate(all="ignore"):
+            t = np.where(violated, _ratio(margin[:, sel],
+                                          center[:, sel] - lower), np.inf)
+            old = lim[1:n_con + 1, sel]
+            lim[1:n_con + 1, sel] = np.where(
+                violated, np.where(np.isfinite(old), old * t, t), old)
+        step = t[n_con - 1]  # min(1, min(t1, min(t2, t3))), innermost first
+        for row in t[n_con - 2::-1]:
+            step = np.minimum(row, step)
+        step = np.minimum(1.0, step)[active]
+        coeffs[live[act], :, 1:] *= step[:, None, None]
+        lim[0, act] *= step
+        touched[act] = True
+        if round_idx:  # round 1 passes over every live cell, as round 0 did
+            sel = act
+    else:
+        # round 2 rescaled these cells after their last pass
+        admissible[sel] = _round_pass(coeffs[live[sel]], region, V, use_q)[3]
+    theta[live], theta1[live], theta2[live], theta3[live] = lim
     report.activated = theta < 1.0
 
     # Safety net: round-off can leave a node a few ulp outside after the
     # exact-arithmetic-tight rescalings; halve theta until the test set is
     # clean (rarely more than once, counted in diagnostics).
-    pending = np.flatnonzero(touched)
+    pending = live[touched & ~admissible]
     rounds = 0
     while pending.size:
-        ok = _nodes_admissible(coeffs[pending], region, V, use_q)
-        pending = pending[~ok]
-        if not pending.size:
-            break
         if rounds == _MAX_FALLBACK:
             raise RegionViolationError(
                 "limiter fallback exhausted without reaching the admissible set",
@@ -379,4 +428,5 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         report.activated[pending] = True
         report.fallback_count += int(pending.size)
         rounds += 1
+        pending = pending[~_round_pass(coeffs[pending], region, V, use_q)[3]]
     return out, report

@@ -216,7 +216,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     The incoming field (normally a fresh L2 projection) is limited once
     before stepping.  A RegionViolationError raised by the limiter aborts
-    the run with the failing step index attached.
+    the run with the failing step index attached (0 for that first limit).
     """
     if opts.t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -229,12 +229,11 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     limiting = opts.limiter_kind != LIMITER_NONE
 
-    fld, rep0 = limit(fld)
-    theta_last = rep0.theta
-    diagnostics = [_diagnostics(0, 0.0, 0.0, fld, mesh, region,
-                                [rep0] if limiting else [])]
-
     try:
+        fld, rep0 = limit(fld)
+        theta_last = rep0.theta
+        diagnostics = [_diagnostics(0, 0.0, 0.0, fld, mesh, region,
+                                    [rep0] if limiting else [])]
         if opts.integrator == RK3:
             fld, theta_last = _evolve_rk3(
                 fld, mesh, region, opts, controller, limit if limiting else None,

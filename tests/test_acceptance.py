@@ -238,6 +238,7 @@ def test_criterion_6_lax_shock_tube(lax_runs):
                  f"TV positivity {tv_pos:.4f} > TV irp {tv_irp:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_shu_osher(shu_osher_runs):
     coarse, fine = shu_osher_runs
     assert coarse.result.diagnostics[-1].t == pytest.approx(1.8, abs=1e-12)

@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import irpdg.irp_limiter as irp_limiter
 import irpdg.time_integration as ti
 from irpdg.dg_space import INFLOW_OUTFLOW, OUTFLOW, PERIODIC, DGField, \
     Mesh1D, basis_derivatives, basis_values, gauss_legendre_rule, \
@@ -238,6 +239,94 @@ def test_limit_field_raises_on_first_failing_cell_as_before():
     assert (str(got.value), got.value.cell) == \
         (str(expected.value), expected.value.cell)
     assert got.value.cell == 12
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("kind", (LIMITER_POSITIVITY, LIMITER_IRP))
+def test_limit_field_bit_exact_with_active_cells_at_both_ends(degree, kind):
+    fld = random_field(np.random.default_rng(11), 50, degree, 0.001)
+    fld.coeffs[[0, -1], 0, 1:] = 2.0 * fld.coeffs[[0, -1], 0, :1]
+    rep = assert_limiter_matches(fld, REGION, kind)
+    assert np.flatnonzero(rep.activated).tolist() == [0, 49]
+
+
+def counted_node_states(monkeypatch):
+    """Patch the limiter's node evaluation; returns the cell count per call."""
+    calls = []
+    original = irp_limiter._node_states
+
+    def counted(coeffs, *args):
+        calls.append(coeffs.shape[0])
+        return original(coeffs, *args)
+
+    monkeypatch.setattr(irp_limiter, "_node_states", counted)
+    return calls
+
+
+def test_limit_field_bit_exact_when_a_cell_needs_three_rounds(monkeypatch):
+    # round 0 lifts the density at a node, round 1 the pressure that this
+    # uncovers, round 2 the entropy; the fallback must then evaluate the
+    # cell afresh, as round 2 rescaled it after its last pass
+    fld = random_field(np.random.default_rng(4), 30, 2, 0.01)
+    fld.coeffs[17] = [[1.0, 0.16, -0.4], [0.34, -1.2, 1.77],
+                      [2.5, -0.54, -1.58]]
+    calls = counted_node_states(monkeypatch)
+    rep = assert_limiter_matches(fld, REGION, LIMITER_IRP)
+    assert calls == [30, 1, 1, 1] and rep.fallback_count == 0
+    assert np.flatnonzero(rep.activated).tolist() == [17]
+    assert np.isfinite([rep.theta1[17], rep.theta2[17], rep.theta3[17]]).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("kind", LIMITER_KINDS)
+def test_limit_field_bit_exact_with_nonfinite_node_pressures(degree, kind):
+    fld = random_field(np.random.default_rng(5), 8, degree, 0.01)
+    fld.coeffs[1, 2, 1] = 1.5e308  # E overflows: p = +inf and -inf
+    fld.coeffs[3, 2, 1] = 1.5e308  # and m*m too: p = nan (inf - inf)
+    fld.coeffs[3, 1, 1] = 1e200
+    fld.coeffs[5, 1, 1] = 1e200  # m*m overflows alone: p = -inf
+    V = basis_values(degree, default_rule(degree).nodes)
+    p = _oracle_nodes(fld.coeffs, REGION, V)[1]
+    assert np.isnan(p[3]).any() and np.isposinf(p[1]).any()
+    assert np.isneginf(p[5]).any()
+    rep = assert_limiter_matches(fld, REGION, kind)
+    if kind != "none":
+        assert np.flatnonzero(rep.activated).tolist() == [1, 3, 5]
+
+
+def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
+    quiet = random_field(np.random.default_rng(6), 40, 2, 0.01)
+    calls = counted_node_states(monkeypatch)
+    assert limit_field(quiet, Mesh1D(0.0, 1.0, 40), REGION)[1].n_activated == 0
+    assert calls == [40]
+
+    # entropy dips at one node of cells 7 and 23; every node stays in the
+    # positive cone, so one round limits them and the next pass clears them
+    fld = quiet.copy()
+    fld.coeffs[[7, 23]] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.5, 1.3, 0.0]]
+    calls.clear()
+    _, rep = limit_field(fld, Mesh1D(0.0, 1.0, 40), REGION)
+    assert np.flatnonzero(rep.activated).tolist() == [7, 23]
+    assert np.isfinite(rep.theta3[[7, 23]]).all() and rep.fallback_count == 0
+    assert calls == [40, 2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
+    # at a density of 1e306, q = (s0 - s) * rho overflows to +inf; round 0
+    # skips non-finite q, round 1 does not, and the average fails there
+    fld = random_field(np.random.default_rng(8), 40, 2, 1.0)
+    fld.coeffs[20] = 0.0
+    fld.coeffs[20, 0, 0], fld.coeffs[20, 2, 0] = 1e306, 2.5
+    with pytest.raises(RegionViolationError) as got:
+        limit_field(fld, Mesh1D(0.0, 1.0, 40), REGION)
+    with pytest.raises(RegionViolationError) as expected:
+        oracle_limit_field(fld, REGION, LIMITER_IRP)
+    assert (str(got.value), got.value.cell) == \
+        (str(expected.value), expected.value.cell)
+    assert got.value.cell == 20
 
 
 @pytest.mark.parametrize("degree", DEGREES)

@@ -10,6 +10,7 @@ import pytest
 
 from irpdg.cli import main as cli_main
 from irpdg.dg_space import DGField, Mesh1D, l2_project, spatial_operator
+from irpdg.euler_core import PrimitiveState
 from irpdg.harness import (
     ConfigError,
     RunConfig,
@@ -82,6 +83,19 @@ class TestRunConfigValidation:
     def test_rejects_nonfinite_and_nonpositive_cfl(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(problem="lax", **{field: value}).validate()
+
+    @pytest.mark.parametrize("side, state", [
+        ("left", (1.0, 0.0, 0.0)), ("right", (1.0, 0.0, -1.0)),
+        ("left", (0.0, 0.0, 1.0)), ("right", (-0.1, 0.0, 1.0)),
+        ("left", (math.nan, 0.0, 1.0)), ("right", (1.0, math.inf, 1.0)),
+        ("left", (1.0, 0.0, math.inf))])
+    def test_rejects_custom_riemann_states_outside_the_region(self, side,
+                                                              state):
+        states = {"left": PrimitiveState(1.0, 0.0, 1.0),
+                  "right": PrimitiveState(0.125, 0.0, 0.1)}
+        states[side] = PrimitiveState(*state)
+        with pytest.raises(ConfigError, match=side):
+            RunConfig(problem="custom-riemann", **states).validate()
 
 
 class TestErrorNorms:
@@ -317,6 +331,17 @@ class TestCli:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("problem=lax\nwidgets=3\n")
         assert cli_main(["solve", "--config", str(cfgfile)]) == 2
+
+    def test_custom_riemann_zero_pressure_exits_2(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
+             "custom-riemann", "--left", "1,0,0", "--right", "1,0,1",
+             "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "left" in proc.stderr
+        assert not (tmp_path / "never.csv").exists()
 
     def test_custom_riemann_via_cli(self, tmp_path):
         out = str(tmp_path / "cr.csv")

@@ -235,6 +235,15 @@ class TestEvolve:
                                  cfl_fraction=0.9))
         assert exc.value.step is not None
 
+    def test_abort_in_the_initial_limit_reports_step_0(self):
+        fld = constant_field(8, 2, 1.0, 0.0, 1.0)
+        fld.coeffs[3, 2, 0] = -0.4 / (GAMMA - 1.0)  # average pressure -0.4
+        with pytest.raises(RegionViolationError) as exc:
+            evolve(fld, Mesh1D(0.0, 1.0, 8), InvariantRegion(GAMMA, s0=-1.0),
+                   EvolveOptions(t_final=0.1))
+        assert (exc.value.step, exc.value.cell) == (0, 3)
+        assert "average pressure" in str(exc.value)
+
     def test_unknown_integrator(self):
         fld, mesh, region = build_smooth_problem(8)
         with pytest.raises(ValueError):
