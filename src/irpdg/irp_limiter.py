@@ -100,16 +100,19 @@ class FieldLimiterReport:
 
 def _node_states(coeffs: np.ndarray, region: InvariantRegion,
                  V: np.ndarray):
-    """(rho, p) at the test nodes of each cell, each (n_cells, n_nodes).
+    """(rho, p, q) at the test nodes of each cell, each (n_cells, n_nodes).
 
-    p comes straight from the formula and may be nan or inf.  The einsum
-    result is laid out cell by cell; the contiguous copy lets the
-    elementwise passes below run over whole blocks.
+    p comes straight from the formula and may be nan or inf.  q is the
+    entropy functional, meaningful only where rho > 0 and p > 0; each
+    caller masks the other nodes as its use requires.  The einsum result is
+    laid out cell by cell; the contiguous copy lets the elementwise passes
+    run over whole blocks.
     """
     rho, m, E = np.ascontiguousarray(np.einsum("cvj,nj->vcn", coeffs, V))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
-    return rho, p
+        q = _entropy_functional(rho, p, region)
+    return rho, p, q
 
 
 def _entropy_functional(rho, p, region: InvariantRegion):
@@ -130,74 +133,24 @@ def _node_max(a: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, a.T)
 
 
-def _positive_cone(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Nodes where rho > 0 and p is finite and > 0, so that q is defined."""
-    return (rho > 0.0) & (p > 0.0) & (p < np.inf)
+def _report_nodes(rho, p, q):
+    """(p, q) of a node pass as the report counts them.
 
-
-def _first_pass(coeffs: np.ndarray, region: InvariantRegion, V: np.ndarray):
-    """The report's and round 0's extrema from one node pass over every cell.
-
-    Returns (rho_min, p_min, q_max, p_min0, q_max0).  The report counts a
-    non-finite pressure as -inf and q outside the positive cone as +inf.
-    Round 0 takes p_min0 over the nodes with rho > 0 only and q_max0 over
-    the finite values of q only.  When every node is in the positive cone
-    (the common case) the two agree, and no mask is built.
+    A non-finite pressure counts as -inf, and q outside the positive cone
+    (rho > 0 and p finite and > 0) as +inf.
     """
-    rho, p = _node_states(coeffs, region, V)
-    rho_min = _node_min(rho)
-    cone = _positive_cone(rho, p)
-    if cone.all():
-        p_min = _node_min(p)
-        q = _entropy_functional(rho, p, region)
-        q_max = _node_max(q)
-        if np.isfinite(q_max).all():
-            return rho_min, p_min, q_max, p_min, q_max
-        return rho_min, p_min, q_max, p_min, \
-            _node_max(np.where(np.isfinite(q), q, -np.inf))
     p = np.where(np.isfinite(p), p, -np.inf)
-    q = np.full(rho.shape, np.inf)
-    q[cone] = _entropy_functional(rho[cone], p[cone], region)
-    return (rho_min, _node_min(p), _node_max(q),
-            _node_min(np.where(rho > 0.0, p, np.inf)),
-            _node_max(np.where(np.isfinite(q), q, -np.inf)))
+    return p, np.where((rho > 0.0) & (p > 0.0), q, np.inf)
 
 
-def _round_pass(coeffs: np.ndarray, region: InvariantRegion, V: np.ndarray,
-                use_q: bool):
-    """One rescaling round's node pass: (rho_min, p_min, q_max, admissible).
-
-    The extrema are restricted to nodes where each quantity is meaningful.
-    The pressure formula only represents a pressure where rho > 0, and q
-    needs rho > 0 and p > 0; extrema over other nodes would compare garbage.
-    Nodes excluded here become visible on the next round, once the preceding
-    constraint has pulled them into the valid cone.  q_max is None without
-    ``use_q``.  ``admissible`` is the fallback's test: every node has
-    rho >= eps, a finite p >= eps and (with ``use_q``) q <= Q_SLACK.
-    """
-    rho, p = _node_states(coeffs, region, V)
-    eps = region.eps
-    rho_min = _node_min(rho)
-    cone = _positive_cone(rho, p)
-    if cone.all():
-        # nothing to mask, and the extrema decide admissibility alone
-        p_min = _node_min(p)
-        ok = (rho_min >= eps) & (p_min >= eps)
-        if not use_q:
-            return rho_min, p_min, None, ok
-        q_max = _node_max(_entropy_functional(rho, p, region))
-        return rho_min, p_min, q_max, ok & (q_max <= Q_SLACK)
-    # p_min is +inf where no node has rho > 0
-    p_min = _node_min(np.where(rho > 0.0, p, np.inf))
-    p_finite = np.where(np.isfinite(p), p, -np.inf)
-    ok = reduce(np.logical_and, ((rho >= eps) & (p_finite >= eps)).T)
-    if not use_q:
-        return rho_min, p_min, None, ok
-    pos = (rho > 0.0) & (p > 0.0)
-    q = np.full(rho.shape, -np.inf)
-    q[pos] = _entropy_functional(rho[pos], p[pos], region)
-    ok &= reduce(np.logical_and, (np.where(cone, q, np.inf) <= Q_SLACK).T)
-    return rho_min, p_min, _node_max(q), ok  # q_max -inf: no node in the cone
+def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
+    """Per cell: every node has rho >= eps, a finite p >= eps and, with
+    ``use_q``, q <= Q_SLACK (nodes passing the first two tests lie in the
+    positive cone, so their q is meaningful)."""
+    ok = (rho >= eps) & (p >= eps) & (p < np.inf)
+    if use_q:
+        ok &= q <= Q_SLACK
+    return reduce(np.logical_and, ok.T)
 
 
 def default_rule(degree: int) -> QuadratureRule:
@@ -209,9 +162,9 @@ def test_set_extrema(fld: DGField, cell: int, region: InvariantRegion,
                      rule: QuadratureRule):
     """(rho_min, p_min, q_max) over one cell's Gauss-Lobatto nodes."""
     V = basis_table(fld.degree, rule.nodes)
-    rho_min, p_min, q_max = _first_pass(fld.coeffs[cell:cell + 1], region,
-                                        V)[:3]
-    return float(rho_min[0]), float(p_min[0]), float(q_max[0])
+    rho, p, q = _node_states(fld.coeffs[cell:cell + 1], region, V)
+    p, q = _report_nodes(rho, p, q)
+    return float(rho.min()), float(p.min()), float(q.max())
 
 
 def _check_interior(avg: ConservedState, region: InvariantRegion,
@@ -325,7 +278,9 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         raise ValueError(f"unknown limiter kind {kind!r}")
     n = fld.n_cells
     V = basis_table(fld.degree, default_rule(fld.degree).nodes)
-    rho_min, p_min, q_max, p_min0, q_max0 = _first_pass(fld.coeffs, region, V)
+    rho_n, p_n, q_n = _node_states(fld.coeffs, region, V)
+    p_n, q_n = _report_nodes(rho_n, p_n, q_n)
+    rho_min, p_min, q_max = _node_min(rho_n), _node_min(p_n), _node_max(q_n)
 
     theta = np.ones(n)
     theta1 = np.full(n, np.inf)
@@ -340,77 +295,82 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     # Cells in play: those round 0 finds in violation, plus any that round 1
     # could flag although unchanged, since it keeps a q that overflowed to
-    # +inf where round 0 drops it.  The report's q_max bounds both.
+    # +inf where round 0 drops it.  The report's extrema bound both.
     use_q = kind == LIMITER_IRP
     eps = region.eps
-    in_play = (rho_min < eps) | (p_min0 < eps)
+    in_play = (rho_min < eps) | (p_min < eps)
     if use_q:
         in_play |= q_max > Q_SLACK
     live = np.flatnonzero(in_play)
     if not live.size:
         return out, report
 
-    # Each constraint is written as a lower bound: rho >= eps, p >= eps and
-    # -q >= 0 (violated below -Q_SLACK).  The (n_con, cells) arrays below hold
-    # one row per constraint in force and one column per cell of ``live``.
-    n_con = 3 if use_q else 2
-    sign = np.array([1.0, 1.0, -1.0])[:n_con, None]
-    trigger = np.array([eps, eps, -Q_SLACK])[:n_con, None]
-    coeffs = out.coeffs
-    rho_a, m_a, E_a = np.ascontiguousarray(coeffs[live, :, 0].T)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_a = (region.gamma - 1.0) * (E_a - 0.5 * m_a**2 / rho_a)
-        inside = (rho_a > eps) & (p_a > eps)  # ``_check_interior`` passes
-        center = [rho_a, p_a]
-        if use_q:
-            q_a = _entropy_functional(rho_a, p_a, region)
-            inside &= q_a < 0.0
-            center.append(-q_a)
-    center = np.array(center)  # the averages' side of each bound
-    margin = center - np.array([eps, eps, 0.0])[:n_con, None]
+    # Round 0 reuses the report's nodes: p over the nodes with rho > 0 and
+    # the finite values of q.
+    rho_n, p_n, q_n = rho_n[live], p_n[live], q_n[live]
+    ext = (rho_min[live], _node_min(np.where(rho_n > 0.0, p_n, np.inf)),
+           _node_max(np.where(np.isfinite(q_n), q_n, -np.inf)))
 
-    lim = np.full((4, live.size), np.inf)  # theta, theta1, theta2, theta3
-    lim[0] = 1.0
+    coeffs = out.coeffs
+    rho_avg, m_avg, E_avg = np.ascontiguousarray(coeffs[live, :, 0].T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_avg = (region.gamma - 1.0) * (E_avg - 0.5 * m_avg**2 / rho_avg)
+        inside = (rho_avg > eps) & (p_avg > eps)  # ``_check_interior`` passes
+        if use_q:
+            q_avg = _entropy_functional(rho_avg, p_avg, region)
+            inside &= q_avg < 0.0
     touched = np.zeros(live.size, dtype=bool)
     admissible = np.zeros(live.size, dtype=bool)  # as of the last pass
-    sel = np.arange(live.size)  # positions in ``live`` of the cells in play
-    extrema = np.array((rho_min, p_min0, q_max0)[:n_con])[:, live]
+    sel = np.arange(live.size)  # positions in ``live`` of this round's cells
     for round_idx in range(3):
         if round_idx:
-            r_min, pr_min, qr_max, admissible[sel] = _round_pass(
-                coeffs[live[sel]], region, V, use_q)
-            extrema = np.array((r_min, pr_min, qr_max)[:n_con])
-        lower = sign * extrema
-        violated = lower < trigger
-        active = reduce(np.logical_or, violated)
+            # extrema over the nodes where each quantity is meaningful (see
+            # the docstring)
+            rho_n, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
+            admissible[sel] = _admissible(rho_n, p_n, q_n, eps, use_q)
+            rho_pos = rho_n > 0.0
+            ext = (_node_min(rho_n), _node_min(np.where(rho_pos, p_n, np.inf)),
+                   _node_max(np.where(rho_pos & (p_n > 0.0), q_n, -np.inf)))
+        a1 = ext[0] < eps
+        a2 = ext[1] < eps
+        a3 = (ext[2] > Q_SLACK) if use_q else np.zeros(sel.size, dtype=bool)
+        active = a1 | a2 | a3
         if not active.any():
             break
-        act = sel[active]
         # Averages never change, so a cell that passed once passes again;
         # the scalar check raises on the first failing cell with its message.
+        act = sel[active]
         for i in act[~inside[act]]:
             c = int(live[i])
             _check_interior(ConservedState(*coeffs[c, :, 0]), region, use_q, c)
-        # unviolated entries compute garbage, and np.where drops it
-        with np.errstate(all="ignore"):
-            t = np.where(violated, _ratio(margin[:, sel],
-                                          center[:, sel] - lower), np.inf)
-            old = lim[1:n_con + 1, sel]
-            lim[1:n_con + 1, sel] = np.where(
-                violated, np.where(np.isfinite(old), old * t, t), old)
-        step = t[n_con - 1]  # min(1, min(t1, min(t2, t3))), innermost first
-        for row in t[n_con - 2::-1]:
-            step = np.minimum(row, step)
-        step = np.minimum(1.0, step)[active]
-        coeffs[live[act], :, 1:] *= step[:, None, None]
-        lim[0, act] *= step
+        t1 = np.full(sel.size, np.inf)
+        t2 = np.full(sel.size, np.inf)
+        t3 = np.full(sel.size, np.inf)
+        if a1.any():
+            i = sel[a1]
+            t1[a1] = _ratio(rho_avg[i] - eps, rho_avg[i] - ext[0][a1])
+        if a2.any():
+            i = sel[a2]
+            t2[a2] = _ratio(p_avg[i] - eps, p_avg[i] - ext[1][a2])
+        if a3.any():
+            i = sel[a3]
+            t3[a3] = _ratio(-q_avg[i], ext[2][a3] - q_avg[i])
+        step = np.minimum(1.0, np.minimum(t1, np.minimum(t2, t3)))[active]
+        c = live[act]
+        coeffs[c, :, 1:] *= step[:, None, None]
+        theta[c] *= step
         touched[act] = True
+        for th, t, a in ((theta1, t1, a1), (theta2, t2, a2), (theta3, t3, a3)):
+            if a.any():
+                c = live[sel[a]]
+                old = th[c]
+                th[c] = np.where(np.isfinite(old), old * t[a], t[a])
         if round_idx:  # round 1 passes over every live cell, as round 0 did
             sel = act
     else:
         # round 2 rescaled these cells after their last pass
-        admissible[sel] = _round_pass(coeffs[live[sel]], region, V, use_q)[3]
-    theta[live], theta1[live], theta2[live], theta3[live] = lim
+        admissible[sel] = _admissible(
+            *_node_states(coeffs[live[sel]], region, V), eps, use_q)
     report.activated = theta < 1.0
 
     # Safety net: round-off can leave a node a few ulp outside after the
@@ -428,5 +388,6 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         report.activated[pending] = True
         report.fallback_count += int(pending.size)
         rounds += 1
-        pending = pending[~_round_pass(coeffs[pending], region, V, use_q)[3]]
+        pending = pending[~_admissible(
+            *_node_states(coeffs[pending], region, V), eps, use_q)]
     return out, report
