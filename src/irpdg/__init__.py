@@ -7,14 +7,12 @@ from .euler_core import ConservedState, InvariantRegion, PrimitiveState, \
 from .dg_space import DGField, Mesh1D, QuadratureRule, cell_average, \
     evaluate, gauss_legendre_rule, gauss_lobatto_rule, l2_project, \
     lax_friedrichs_flux, spatial_operator, test_set_size
-from .irp_limiter import CellLimiterReport, FieldLimiterReport, \
-    LIMITER_IRP, LIMITER_NONE, LIMITER_POSITIVITY, RegionViolationError, \
-    apply_limiter, compute_theta, limit_field, test_set_extrema
+from .irp_limiter import FieldLimiterReport, LIMITER_IRP, LIMITER_NONE, \
+    LIMITER_POSITIVITY, RegionViolationError, limit_field
 from .riemann_exact import RiemannProblem, RiemannSolverError, StarState, \
     VacuumError, reference_on_mesh, sample, solve_star
-from .time_integration import EvolveOptions, EvolveResult, \
-    MultistepHistory, TimeController, compute_dt, evolve, ssp_ms3_step, \
-    ssp_rk3_step
+from .time_integration import EvolveOptions, EvolveResult, evolve, \
+    ssp_ms3_step, ssp_rk3_step
 from .harness import ConvergenceRow, RunConfig, convergence_study, \
     error_norms, preset, run
 

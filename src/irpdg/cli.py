@@ -8,14 +8,15 @@ override file entries.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .euler_core import PrimitiveState, to_conserved
-from .harness import ConfigError, PROBLEMS, RunConfig, convergence_study, \
-    emit_diagnostics_csv, emit_solution_csv, emit_table_csv, \
-    resolve_output_path, run
+from .harness import ConfigError, PROBLEMS, RunConfig, check_domain, \
+    check_state, convergence_study, emit_diagnostics_csv, \
+    emit_solution_csv, emit_table_csv, resolve_output_path, run
 from .irp_limiter import LIMITER_KINDS, RegionViolationError
 from .riemann_exact import RiemannProblem, RiemannSolverError, VacuumError, \
     sample_primitives, solve_star
@@ -29,24 +30,15 @@ _DEFAULTS = {"degree": "2", "cells": "100", "limiter": "irp",
              "placement": "per_stage"}
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
+def _parse_floats(text: str, count: int) -> tuple[float, ...]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated values, got {text!r}")
+    if len(parts) != count:
+        raise ConfigError(f"expected {count} comma-separated values, "
+                          f"got {text!r}")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        return tuple(float(p) for p in parts)
     except ValueError as err:
-        raise ConfigError(f"bad numeric triple {text!r}") from err
-
-
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected two comma-separated values, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as err:
-        raise ConfigError(f"bad numeric pair {text!r}") from err
+        raise ConfigError(f"bad numbers {text!r}") from err
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -118,10 +110,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         epsilon=float(pick("eps")),
         output_path=pick("out"),
         limiter_placement=pick("placement"),
-        left=None if left is None else PrimitiveState(*_parse_triple(left)),
-        right=None if right is None else PrimitiveState(*_parse_triple(right)),
+        left=None if left is None else PrimitiveState(*_parse_floats(left, 3)),
+        right=None if right is None else PrimitiveState(*_parse_floats(right, 3)),
         x0=0.0 if pick("x0") is None else float(pick("x0")),
-        domain=None if domain is None else _parse_pair(domain))
+        domain=None if domain is None else _parse_floats(domain, 2))
     cfg.validate()
     return cfg
 
@@ -164,11 +156,18 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_riemann_exact(args: argparse.Namespace) -> int:
-    left = PrimitiveState(*_parse_triple(args.left))
-    right = PrimitiveState(*_parse_triple(args.right))
-    a, b = _parse_pair(args.domain)
-    if args.time <= 0.0:
-        raise ConfigError("--time must be positive")
+    left = PrimitiveState(*_parse_floats(args.left, 3))
+    right = PrimitiveState(*_parse_floats(args.right, 3))
+    check_state("left", left)
+    check_state("right", right)
+    a, b = _parse_floats(args.domain, 2)
+    check_domain((a, b))
+    if not 1.0 < args.gamma < math.inf:
+        raise ConfigError(f"--gamma must be finite and > 1, got {args.gamma}")
+    if not 0.0 < args.time < math.inf:
+        raise ConfigError(f"--time must be finite and > 0, got {args.time}")
+    if not math.isfinite(args.x0):
+        raise ConfigError(f"--x0 must be finite, got {args.x0}")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     problem = RiemannProblem(left, right, args.gamma, args.x0)
@@ -228,10 +227,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except VacuumError as err:
+    except (ConfigError, VacuumError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RegionViolationError, RiemannSolverError) as err:
@@ -240,9 +236,6 @@ def main(argv=None) -> int:
             detail = f" (step {err.step}, cell {err.cell})"
         print(f"solver abort: {err}{detail}", file=sys.stderr)
         return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ class RunConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.limiter_placement not in (PER_STAGE, PER_STEP):
             raise ConfigError(f"unknown placement {self.limiter_placement!r}")
-        for name in ("gamma", "epsilon", "cfl_fraction", "t_final"):
+        for name in ("gamma", "epsilon", "cfl_fraction", "t_final", "x0"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -85,17 +85,30 @@ class RunConfig:
             raise ConfigError("gamma must exceed 1")
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
+        if self.domain is not None:
+            check_domain(self.domain)
         if self.problem == CUSTOM_RIEMANN:
             if self.left is None or self.right is None:
                 raise ConfigError("custom-riemann needs left and right states")
-            for side in ("left", "right"):
-                rho, u, p = getattr(self, side)
-                if not all(math.isfinite(v) for v in (rho, u, p)):
-                    raise ConfigError(f"{side} state must be finite, got "
-                                      f"{rho},{u},{p}")
-                if rho <= 0.0 or p <= 0.0:
-                    raise ConfigError(f"{side} state needs positive density "
-                                      f"and pressure, got {rho},{u},{p}")
+            check_state("left", self.left)
+            check_state("right", self.right)
+
+
+def check_state(side: str, state: PrimitiveState) -> None:
+    """Raise ConfigError unless rho, u, p are finite with rho > 0 and p > 0."""
+    rho, u, p = state
+    if not all(math.isfinite(v) for v in (rho, u, p)):
+        raise ConfigError(f"{side} state must be finite, got {rho},{u},{p}")
+    if rho <= 0.0 or p <= 0.0:
+        raise ConfigError(f"{side} state needs positive density and "
+                          f"pressure, got {rho},{u},{p}")
+
+
+def check_domain(domain: tuple[float, float]) -> None:
+    """Raise ConfigError unless the domain is finite a, b with b > a."""
+    a, b = domain
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ConfigError(f"domain must be finite a,b with b > a, got {a},{b}")
 
 
 @dataclass

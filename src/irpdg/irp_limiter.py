@@ -42,20 +42,6 @@ class RegionViolationError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class CellLimiterReport:
-    """Per-cell limiter diagnostics; inactive constraints carry +inf thetas."""
-
-    theta: float
-    theta1: float
-    theta2: float
-    theta3: float
-    rho_min: float
-    p_min: float
-    q_max: float
-    activated: bool
-
-
 @dataclass
 class FieldLimiterReport:
     """Vectorized limiter diagnostics for a whole field."""
@@ -89,13 +75,6 @@ class FieldLimiterReport:
     @property
     def n_q_active(self) -> int:
         return int(np.count_nonzero(np.isfinite(self.theta3)))
-
-    def cell(self, i: int) -> CellLimiterReport:
-        return CellLimiterReport(
-            theta=float(self.theta[i]), theta1=float(self.theta1[i]),
-            theta2=float(self.theta2[i]), theta3=float(self.theta3[i]),
-            rho_min=float(self.rho_min[i]), p_min=float(self.p_min[i]),
-            q_max=float(self.q_max[i]), activated=bool(self.activated[i]))
 
 
 def _node_states(coeffs: np.ndarray, region: InvariantRegion,
@@ -158,17 +137,8 @@ def default_rule(degree: int) -> QuadratureRule:
     return gauss_lobatto_rule(test_set_size(degree))
 
 
-def test_set_extrema(fld: DGField, cell: int, region: InvariantRegion,
-                     rule: QuadratureRule):
-    """(rho_min, p_min, q_max) over one cell's Gauss-Lobatto nodes."""
-    V = basis_table(fld.degree, rule.nodes)
-    rho, p, q = _node_states(fld.coeffs[cell:cell + 1], region, V)
-    p, q = _report_nodes(rho, p, q)
-    return float(rho.min()), float(p.min()), float(q.max())
-
-
 def _check_interior(avg: ConservedState, region: InvariantRegion,
-                    need_q: bool, cell: int | None):
+                    need_q: bool, cell: int | None) -> None:
     """Strict interior membership of the average, raising on violation."""
     rho, m, E = avg
     where = "" if cell is None else f" (cell {cell})"
@@ -179,69 +149,18 @@ def _check_interior(avg: ConservedState, region: InvariantRegion,
     if not p > region.eps:
         raise RegionViolationError(
             f"average pressure {p} not above eps{where}", cell=cell)
-    if not need_q:
-        return rho, p, None
-    q = _entropy_functional(rho, p, region)
-    if not q < 0.0:
-        raise RegionViolationError(
-            f"average entropy functional q={q} not negative{where}", cell=cell)
-    return rho, p, float(q)
-
-
-def _guarded_ratio(num: float, den: float) -> float:
-    # A denominator below the guard means the cell is essentially constant
-    # while still violating, i.e. pressed against the region boundary;
-    # flatten it completely rather than dividing by noise.
-    return 0.0 if den < _DENOM_GUARD else num / den
-
-
-def compute_theta(avg: ConservedState, extrema, region: InvariantRegion,
-                  kind: str = LIMITER_IRP,
-                  cell: int | None = None) -> CellLimiterReport:
-    """Rescaling factor for one cell from its average and test-set extrema.
-
-    Inactive constraints are excluded from the minimum (reported as +inf).
-    The average must lie strictly inside the admissible set whenever any
-    constraint is active; violation raises RegionViolationError because it
-    signals a CFL or scheme failure upstream of the limiter.
-    """
-    if kind not in (LIMITER_POSITIVITY, LIMITER_IRP):
-        raise ValueError(f"compute_theta expects an active limiter kind, got {kind!r}")
-    rho_min, p_min, q_max = extrema
-    use_q = kind == LIMITER_IRP
-    a1 = rho_min < region.eps
-    a2 = p_min < region.eps
-    a3 = use_q and q_max > Q_SLACK
-    if not (a1 or a2 or a3):
-        return CellLimiterReport(1.0, np.inf, np.inf, np.inf,
-                                 rho_min, p_min, q_max, False)
-
-    rho_avg, p_avg, q_avg = _check_interior(avg, region, use_q, cell)
-    theta1 = _guarded_ratio(rho_avg - region.eps, rho_avg - rho_min) \
-        if a1 else np.inf
-    theta2 = _guarded_ratio(p_avg - region.eps, p_avg - p_min) \
-        if a2 else np.inf
-    theta3 = np.inf
-    if a3 and np.isfinite(q_max):
-        theta3 = _guarded_ratio(-q_avg, q_max - q_avg)
-    theta = min(1.0, theta1, theta2, theta3)
-    return CellLimiterReport(theta, theta1, theta2, theta3,
-                             rho_min, p_min, q_max, theta < 1.0)
-
-
-def apply_limiter(fld: DGField, cell: int, theta: float) -> None:
-    """Scale all higher modes of one cell by theta, in place.
-
-    Coefficient 0 is untouched for every variable, so the cell average is
-    preserved exactly (bitwise).
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    fld.coeffs[cell, :, 1:] *= theta
+    if need_q:
+        q = _entropy_functional(rho, p, region)
+        if not q < 0.0:
+            raise RegionViolationError(
+                f"average entropy functional q={q} not negative{where}",
+                cell=cell)
 
 
 def _ratio(num, den):
-    # ``_guarded_ratio`` for arrays
+    # A denominator below the guard means the cell is essentially constant
+    # while still violating, i.e. pressed against the region boundary;
+    # flatten it completely rather than dividing by noise.
     return np.where(den < _DENOM_GUARD, 0.0,
                     num / np.maximum(den, _DENOM_GUARD))
 

@@ -1,15 +1,16 @@
 """SSP time integration of the semi-discrete DG system with limiting.
 
-Two third-order integrators: the three-stage SSP Runge-Kutta scheme with an
-adaptive step, and the two-term SSP multistep scheme, which requires a
-constant step and is bootstrapped by three RK3 steps.  The time step obeys
-dt/h * max(|u| + c) <= w1/2 where w1 is the first Gauss-Lobatto weight of
-the active test set.
+Two third-order integrators share one step loop: the three-stage SSP
+Runge-Kutta scheme with an adaptive step, and the two-term SSP multistep
+scheme, which requires a constant step and is bootstrapped by three RK3
+steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
+first Gauss-Lobatto weight of the active test set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +26,6 @@ PER_STAGE = "per_stage"
 PER_STEP = "per_step"
 
 _END_TOL = 1e-12
-
-
-@dataclass
-class TimeController:
-    """Step-size bookkeeping for one run."""
-
-    cfl_fraction: float
-    w_hat_1: float
-    t: float = 0.0
-    dt: float = 0.0
-    step_index: int = 0
 
 
 @dataclass
@@ -80,46 +70,15 @@ class EvolveResult:
     min_avg_entropy: float
 
 
-@dataclass
-class MultistepHistory:
-    """Ring buffer of the most recent fields and their residuals."""
-
-    fields: list[DGField] = dataclass_field(default_factory=list)
-    residuals: list[np.ndarray] = dataclass_field(default_factory=list)
-    dts: list[float] = dataclass_field(default_factory=list)
-    depth: int = 4
-
-    def push(self, fld: DGField, residual: np.ndarray, dt: float) -> None:
-        self.fields.append(fld)
-        self.residuals.append(residual)
-        self.dts.append(dt)
-        if len(self.fields) > self.depth:
-            del self.fields[0], self.residuals[0], self.dts[0]
-
-    @property
-    def full(self) -> bool:
-        return len(self.fields) == self.depth
-
-
-def compute_dt(fld: DGField, mesh: Mesh1D, controller: TimeController,
-               gamma: float, t_final: float | None = None) -> float:
-    """CFL-limited step dt = cfl * (w1/2) * h / max_speed, clipped at t_final."""
-    rule = gauss_lobatto_rule(test_set_size(fld.degree))
-    speed = global_max_signal_speed(fld, gamma, rule)
-    return _dt_for_speed(speed, mesh, controller, t_final)
-
-
-def _dt_for_speed(speed: float, mesh: Mesh1D, controller: TimeController,
-                  t_final: float | None) -> float:
-    """``compute_dt`` for an already evaluated maximum signal speed."""
+def _dt_for_speed(speed: float, h: float, cfl: float, w_hat_1: float,
+                  t: float = 0.0, t_final: float | None = None) -> float:
+    """CFL-limited step dt = cfl * (w1/2) * h / speed, clipped at t_final."""
     if speed <= 0.0:
         raise ValueError("nonpositive maximum signal speed; degenerate state")
-    dt = controller.cfl_fraction * 0.5 * controller.w_hat_1 * mesh.h / speed
-    if t_final is not None and controller.t + dt > t_final:
-        dt = t_final - controller.t
-    lam = dt / mesh.h
-    if not lam * speed <= 0.5 * controller.w_hat_1 * controller.cfl_fraction \
-            * (1.0 + 1e-12):
+    dt = cfl * 0.5 * w_hat_1 * h / speed
+    if t_final is not None and t + dt > t_final:
+        dt = t_final - t
+    if not (dt / h) * speed <= 0.5 * w_hat_1 * cfl * (1.0 + 1e-12):
         raise ValueError("CFL invariant violated")
     return dt
 
@@ -155,23 +114,15 @@ def ssp_rk3_step(fld: DGField, dt: float, rhs, limit=None,
     return s3, reports
 
 
-def ssp_ms3_step(history: MultistepHistory, dt: float) -> DGField:
-    """Two-term third-order SSP multistep update from a full history.
+def ssp_ms3_step(w_now: np.ndarray, r_now: np.ndarray, w_old: np.ndarray,
+                 r_old: np.ndarray, dt: float) -> np.ndarray:
+    """Two-term third-order SSP multistep update of coefficient arrays.
 
-    Combines the newest entry (current solution) and the entry three steps
-    back; both must have been recorded at the same constant dt.
+    Combines the current solution and the one three steps back, each with
+    its residual; all four steps must have been taken at the same dt.
     """
-    if not history.full:
-        raise ValueError("multistep history not yet populated")
-    if any(abs(d - dt) > 1e-14 * max(dt, 1.0) for d in history.dts):
-        raise ValueError("multistep scheme requires a constant dt across history")
-    w_now = history.fields[-1].coeffs
-    r_now = history.residuals[-1]
-    w_old = history.fields[0].coeffs
-    r_old = history.residuals[0]
-    coeffs = (16.0 / 27.0) * (w_now + 3.0 * dt * r_now) \
+    return (16.0 / 27.0) * (w_now + 3.0 * dt * r_now) \
         + (11.0 / 27.0) * (w_old + (12.0 / 11.0) * dt * r_old)
-    return DGField(history.fields[-1].degree, coeffs)
 
 
 def _entropy_of_averages(fld: DGField, region: InvariantRegion) -> float:
@@ -215,110 +166,82 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     """March the DG solution to t_final with limiting; collects diagnostics.
 
     The incoming field (normally a fresh L2 projection) is limited once
-    before stepping.  A RegionViolationError raised by the limiter aborts
-    the run with the failing step index attached (0 for that first limit).
+    before stepping.  RK3 takes each dt from the wave speed that also gives
+    the step's flux alpha.  MS3 freezes one dt that lands on t_final, keeps
+    the (coefficients, residual) pairs of its last four steps and takes RK3
+    steps until it has four.  A RegionViolationError raised by the limiter
+    aborts the run with the failing step index attached (0 for that first
+    limit).
     """
     if opts.t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
-    cfl = opts.resolved_cfl()
+    if opts.integrator not in (RK3, MS3):
+        raise ValueError(f"unknown integrator {opts.integrator!r}")
+    gamma = region.gamma
     rule = gauss_lobatto_rule(test_set_size(fld.degree))
-    controller = TimeController(cfl_fraction=cfl, w_hat_1=float(rule.weights[0]))
+    w_hat_1 = float(rule.weights[0])
+    cfl = opts.resolved_cfl()
+    per_stage = opts.placement == PER_STAGE
+    multistep = opts.integrator == MS3
 
     def limit(f: DGField):
         return limit_field(f, mesh, region, opts.limiter_kind)
 
-    limiting = opts.limiter_kind != LIMITER_NONE
-
+    stage_limit = None if opts.limiter_kind == LIMITER_NONE else limit
+    step, t, n_steps = 0, 0.0, 0
+    t_tol = _END_TOL * max(1.0, opts.t_final)
+    history = deque(maxlen=4)
     try:
         fld, rep0 = limit(fld)
         theta_last = rep0.theta
         diagnostics = [_diagnostics(0, 0.0, 0.0, fld, mesh, region,
-                                    [rep0] if limiting else [])]
-        if opts.integrator == RK3:
-            fld, theta_last = _evolve_rk3(
-                fld, mesh, region, opts, controller, limit if limiting else None,
-                diagnostics, theta_last, inflow_left)
-        elif opts.integrator == MS3:
-            fld, theta_last = _evolve_ms3(
-                fld, mesh, region, opts, controller, limit if limiting else None,
-                diagnostics, theta_last, inflow_left)
-        else:
-            raise ValueError(f"unknown integrator {opts.integrator!r}")
+                                    [rep0] if stage_limit else [])]
+        if multistep and opts.t_final > 0.0:
+            # Constant dt for the whole run, frozen from the initial signal
+            # speed and chosen to land exactly on t_final.
+            dt_raw = _dt_for_speed(global_max_signal_speed(fld, gamma, rule),
+                                   mesh.h, cfl, w_hat_1)
+            n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
+            dt = opts.t_final / n_steps
+        while step < n_steps if multistep else opts.t_final - t > t_tol:
+            # one wave-speed evaluation gives the flux's alpha and RK3's step
+            alpha = global_max_signal_speed(fld, gamma, rule)
+            if not multistep:
+                dt = _dt_for_speed(alpha, mesh.h, cfl, w_hat_1, t, opts.t_final)
+            elif (dt / mesh.h) * alpha > 0.5 * w_hat_1 * (1.0 + 1e-12):
+                # The frozen dt must keep satisfying the theoretical CFL
+                # bound as the wave speed evolves; cfl_fraction < 1 provides
+                # the headroom.
+                raise RegionViolationError(
+                    f"frozen multistep dt violates the CFL bound at step {step}"
+                    f" (speed {alpha:.6g})")
+
+            def rhs(f: DGField) -> np.ndarray:
+                return spatial_operator(f, mesh, gamma, alpha, inflow_left)
+
+            residual = None
+            if multistep:
+                residual = rhs(fld)
+                history.append((fld.coeffs, residual))
+            if len(history) == 4:
+                fld = DGField(fld.degree,
+                              ssp_ms3_step(*history[-1], *history[0], dt))
+                reports = []
+                if stage_limit is not None:
+                    fld, rep = stage_limit(fld)
+                    reports.append(rep)
+            else:
+                fld, reports = ssp_rk3_step(fld, dt, rhs, stage_limit,
+                                            per_stage, rhs0=residual)
+            step += 1
+            t = step * dt if multistep else t + dt
+            if reports:
+                theta_last = reports[-1].theta
+            diagnostics.append(_diagnostics(step, t, dt, fld, mesh, region,
+                                            reports))
     except RegionViolationError as err:
-        err.step = controller.step_index
+        err.step = step
         raise
     min_entropy = float(np.min([d.min_avg_entropy for d in diagnostics]))
     return EvolveResult(final=fld, diagnostics=diagnostics,
                         theta_last=theta_last, min_avg_entropy=min_entropy)
-
-
-def _evolve_rk3(fld, mesh, region, opts, controller, limit, diagnostics,
-                theta_last, inflow_left=None):
-    gamma = region.gamma
-    per_stage = opts.placement == PER_STAGE
-    rule = gauss_lobatto_rule(test_set_size(fld.degree))
-    while opts.t_final - controller.t > _END_TOL * max(1.0, opts.t_final):
-        # one wave-speed evaluation gives both the flux's alpha and the step
-        alpha = global_max_signal_speed(fld, gamma, rule)
-        dt = _dt_for_speed(alpha, mesh, controller, opts.t_final)
-
-        def rhs(f: DGField) -> np.ndarray:
-            return spatial_operator(f, mesh, gamma, alpha, inflow_left)
-
-        fld, reports = ssp_rk3_step(fld, dt, rhs, limit, per_stage)
-        controller.t += dt
-        controller.dt = dt
-        controller.step_index += 1
-        if reports:
-            theta_last = reports[-1].theta
-        diagnostics.append(_diagnostics(controller.step_index, controller.t,
-                                        dt, fld, mesh, region, reports))
-    return fld, theta_last
-
-
-def _evolve_ms3(fld, mesh, region, opts, controller, limit, diagnostics,
-                theta_last, inflow_left=None):
-    gamma = region.gamma
-    rule = gauss_lobatto_rule(test_set_size(fld.degree))
-    if opts.t_final == 0.0:
-        return fld, theta_last
-    # Constant dt for the whole run, frozen from the initial signal speed
-    # and chosen to land exactly on t_final.
-    speed0 = global_max_signal_speed(fld, gamma, rule)
-    dt_raw = controller.cfl_fraction * 0.5 * controller.w_hat_1 * mesh.h / speed0
-    n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
-    dt = opts.t_final / n_steps
-    controller.dt = dt
-
-    history = MultistepHistory()
-    per_stage = opts.placement == PER_STAGE
-    for step in range(n_steps):
-        alpha = global_max_signal_speed(fld, gamma, rule)
-        # Frozen dt must keep satisfying the theoretical CFL bound even as
-        # the wave speed evolves; cfl_fraction < 1 provides the headroom.
-        if (dt / mesh.h) * alpha > 0.5 * controller.w_hat_1 * (1.0 + 1e-12):
-            raise RegionViolationError(
-                f"frozen multistep dt violates the CFL bound at step {step}"
-                f" (speed {alpha:.6g})")
-        residual = spatial_operator(fld, mesh, gamma, alpha, inflow_left)
-        history.push(fld, residual, dt)
-        if history.full:
-            new = ssp_ms3_step(history, dt)
-            reports = []
-            if limit is not None:
-                new, rep = limit(new)
-                reports.append(rep)
-        else:
-            def rhs(f: DGField) -> np.ndarray:
-                return spatial_operator(f, mesh, gamma, alpha, inflow_left)
-
-            new, reports = ssp_rk3_step(fld, dt, rhs, limit, per_stage,
-                                        rhs0=residual)
-        fld = new
-        controller.t = (step + 1) * dt
-        controller.step_index += 1
-        if reports:
-            theta_last = reports[-1].theta
-        diagnostics.append(_diagnostics(controller.step_index, controller.t,
-                                        dt, fld, mesh, region, reports))
-    return fld, theta_last

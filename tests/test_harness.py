@@ -97,6 +97,20 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match=side):
             RunConfig(problem="custom-riemann", **states).validate()
 
+    @pytest.mark.parametrize("domain", [
+        (1.0, -1.0), (1.0, 1.0), (math.nan, 1.0), (0.0, math.inf),
+        (-math.inf, 0.0)])
+    def test_rejects_domains_that_are_not_finite_and_increasing(self, domain):
+        with pytest.raises(ConfigError, match="domain"):
+            RunConfig(problem="lax", domain=domain).validate()
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_rejects_nonfinite_x0(self, x0):
+        with pytest.raises(ConfigError, match="x0"):
+            RunConfig(problem="custom-riemann", x0=x0,
+                      left=PrimitiveState(1.0, 0.0, 1.0),
+                      right=PrimitiveState(0.125, 0.0, 0.1)).validate()
+
 
 class TestErrorNorms:
     def setup_method(self):
@@ -240,6 +254,23 @@ class TestCsvOutput:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def assert_exits_2_at_once(argv, tmp_path):
+    """Run the CLI in a subprocess with a timeout: exit 2 in under a second,
+    one ``error:`` line on stderr and no output file."""
+    code = ("import sys, time; from irpdg.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(time.perf_counter() - t); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv,
+         "--out", str(tmp_path / "never.csv")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert float(proc.stdout) < 1.0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not (tmp_path / "never.csv").exists()
+
+
 class TestCli:
     def test_solve_smoke(self, tmp_path):
         out = str(tmp_path / "run.csv")
@@ -260,19 +291,28 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--cfl", "0"], ["--cfl", "-0.5"], ["--cfl", "nan"],
-        ["--gamma", "nan"], ["--eps", "nan"], ["--tfinal", "inf"]])
+        ["--gamma", "nan"], ["--eps", "nan"], ["--tfinal", "inf"],
+        ["--domain=1,-1"], ["--domain=nan,1"], ["--domain=0,inf"]])
     def test_bad_numbers_exit_2_at_once(self, flags, tmp_path):
         # a subprocess with a timeout, because --cfl 0 used to step forever
-        code = ("import sys, time; from irpdg.cli import main; "
-                "t = time.perf_counter(); code = main(sys.argv[1:]); "
-                "print(time.perf_counter() - t); sys.exit(code)")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "solve", "--problem", "lax", *flags,
-             "--out", str(tmp_path / "never.csv")],
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2, proc.stderr
-        assert float(proc.stdout) < 1.0
-        assert not (tmp_path / "never.csv").exists()
+        assert_exits_2_at_once(
+            ["solve", "--problem", "lax", *flags], tmp_path)
+
+    def test_custom_riemann_nonfinite_x0_exits_2_at_once(self, tmp_path):
+        # a nan interface used to put the right state in every cell
+        assert_exits_2_at_once(
+            ["solve", "--problem", "custom-riemann", "--left", "1,0,1",
+             "--right", "0.125,0,0.1", "--x0", "nan"], tmp_path)
+
+    @pytest.mark.parametrize("flag", [
+        "--left=1,0,0", "--left=1,0,-1", "--gamma=1", "--left=1,nan,1",
+        "--time=inf", "--x0=nan", "--domain=1,0"])
+    def test_riemann_exact_bad_input_exits_2_at_once(self, flag, tmp_path):
+        # each used to end in a traceback, a 200-step Newton failure or a
+        # written file; the flag given last overrides the valid one
+        assert_exits_2_at_once(
+            ["riemann-exact", "--left=1,0,1", "--right=0.125,0,0.1",
+             "--time=0.2", "--domain=-1,1", flag], tmp_path)
 
     def test_converge_smoke(self, tmp_path):
         out = str(tmp_path / "conv.csv")

@@ -11,16 +11,14 @@ from irpdg.dg_space import DGField, Mesh1D, basis_values, l2_project
 from irpdg.euler_core import ConservedState, InvariantRegion, PrimitiveState, \
     in_region, in_region_interior, to_conserved
 from irpdg.irp_limiter import (
+    LIMITER_IRP,
     LIMITER_NONE,
     LIMITER_POSITIVITY,
     Q_SLACK,
     RegionViolationError,
-    apply_limiter,
-    compute_theta,
     default_rule,
     limit_field,
 )
-from irpdg.irp_limiter import test_set_extrema as extrema_of_cell
 
 GAMMA = 1.4
 REGION = InvariantRegion(GAMMA, s0=-1.0)
@@ -61,11 +59,64 @@ def random_cells(rng, n, degree, overshoot=0.0, region=None):
     return DGField(degree, coeffs)
 
 
+def report_extrema(fld, cell, region=REGION):
+    """(rho_min, p_min, q_max) of one cell as the limiter's report gives them."""
+    _, rep = limit_one(fld, region, LIMITER_NONE)
+    return rep.rho_min[cell], rep.p_min[cell], rep.q_max[cell]
+
+
+def oracle_extrema(fld, cell, region=REGION):
+    """(rho_min, p_min, q_max) over one cell's test nodes, counted as the
+    report counts them: a non-finite p as -inf, q off the positive cone as
+    +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, p, q = _node_quantities_of(
+            DGField(fld.degree, fld.coeffs[cell:cell + 1]), region)
+    p = np.where(np.isfinite(p), p, -np.inf)
+    q = np.where((rho > 0.0) & (p > 0.0), q, np.inf)
+    return float(rho.min()), float(p.min()), float(q.max())
+
+
+def oracle_theta(avg, extrema, region=REGION):
+    """The limiter's one-shot formula for one cell, with scalars:
+    (theta, theta1, theta2, theta3); a constraint that holds gives +inf."""
+    rho_min, p_min, q_max = extrema
+    rho, m, E = avg
+    p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+    q = (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
+
+    def ratio(num, den):
+        return 0.0 if den < 1e-14 else num / den
+
+    theta1 = ratio(rho - region.eps, rho - rho_min) \
+        if rho_min < region.eps else np.inf
+    theta2 = ratio(p - region.eps, p - p_min) if p_min < region.eps else np.inf
+    theta3 = ratio(-q, q_max - q) \
+        if Q_SLACK < q_max < np.inf else np.inf
+    return min(1.0, theta1, theta2, theta3), theta1, theta2, theta3
+
+
+def limit_one(fld, region=REGION, kind=LIMITER_IRP):
+    """limit_field on a field over [0, 1]: (limited coefficients, report)."""
+    out, rep = limit_field(fld, Mesh1D(0.0, 1.0, fld.n_cells), region, kind)
+    return out.coeffs, rep
+
+
+# P1 density with test-node values -1 and 3 about an average of 1; the
+# energy 25 (p = 10) keeps every node's entropy inside the region
+C1_DIP = 2.0 / np.sqrt(3.0)
+DENSITY_DIP = ([1.0, C1_DIP], [0.0], [25.0])
+# P1 energy whose lower test node has p = e^-2, so q = +1 there, while the
+# average (1, 0, 2.5) has p = 1 and q = -1 against s0 = -1
+C1_ENTROPY = (2.5 - np.exp(-2.0) / 0.4) / np.sqrt(3.0)
+ENTROPY_DIP = ([1.0], [0.0], [2.5, -C1_ENTROPY])
+
+
 class TestExtrema:
     def test_constant_cell(self):
         w = to_conserved(PrimitiveState(1.0, 0.0, 1.0), GAMMA)
         fld = single_cell_field(2, [w.rho], [w.m], [w.E])
-        rho_min, p_min, q_max = extrema_of_cell(fld, 0, REGION, default_rule(2))
+        rho_min, p_min, q_max = report_extrema(fld, 0)
         assert rho_min == pytest.approx(1.0, rel=1e-14)
         assert p_min == pytest.approx(1.0, rel=1e-14)
         assert q_max == pytest.approx(-1.0, rel=1e-14)
@@ -73,7 +124,7 @@ class TestExtrema:
     def test_node_touching_zero_gets_sentinel(self):
         # rho(xi) = 1 + 2 xi hits 0 at the left Lobatto node of a P2 cell
         fld = single_cell_field(2, [1.0, 2.0 / (2 * np.sqrt(3.0))], [0.0], [2.5])
-        rho_min, p_min, q_max = extrema_of_cell(fld, 0, REGION, default_rule(2))
+        rho_min, p_min, q_max = report_extrema(fld, 0)
         assert rho_min == pytest.approx(0.0, abs=1e-15)
         assert q_max == np.inf
 
@@ -82,93 +133,92 @@ class TestExtrema:
         # Lobatto nodes {-1/2, 0, 1/2} only see the parabola's node values.
         c2 = 0.3
         fld = single_cell_field(2, [1.0, 0.0, c2], [0.0], [4.0])
-        rho_min, _, _ = extrema_of_cell(fld, 0, REGION, default_rule(2))
+        rho_min, _, _ = report_extrema(fld, 0)
         V = basis_values(2, np.array([-0.5, 0.0, 0.5]))
         expected = (V @ fld.coeffs[0, 0]).min()
         assert rho_min == pytest.approx(expected, rel=1e-14)
 
 
-class TestComputeTheta:
-    AVG = to_conserved(PrimitiveState(1.0, 0.0, 1.0), GAMMA)  # q = -1 vs s0=-1
+class TestCellRatios:
+    """The per-cell ratios of ``limit_field`` on one-cell fields."""
 
     def test_admissible_extrema_no_op(self):
-        rep = compute_theta(self.AVG, (0.9, 0.8, -0.5), REGION)
-        assert rep.theta == 1.0
-        assert not rep.activated
-        assert rep.theta1 == np.inf and rep.theta3 == np.inf
+        fld = single_cell_field(2, [1.0, 0.05], [0.0, 0.02], [2.5, 0.05])
+        coeffs, rep = limit_one(fld)
+        assert rep.theta[0] == 1.0
+        assert not rep.activated[0]
+        assert rep.theta1[0] == np.inf and rep.theta3[0] == np.inf
+        np.testing.assert_array_equal(coeffs, fld.coeffs)
 
     def test_density_violation(self):
-        rep = compute_theta(self.AVG, (-1.0, 0.8, -0.5), REGION)
+        _, rep = limit_one(single_cell_field(1, *DENSITY_DIP))
         expected = (1.0 - REGION.eps) / 2.0
-        assert rep.theta == pytest.approx(expected, rel=1e-13)
-        assert rep.theta == rep.theta1
-        assert rep.activated
+        assert rep.theta[0] == pytest.approx(expected, rel=1e-13)
+        assert rep.theta[0] == rep.theta1[0]
+        assert rep.activated[0]
 
     def test_entropy_violation(self):
         # q_avg = -1, q_max = +1 -> theta3 = 1/2
-        rep = compute_theta(self.AVG, (0.9, 0.8, 1.0), REGION)
-        assert rep.theta == pytest.approx(0.5, rel=1e-13)
-        assert rep.theta == rep.theta3
+        _, rep = limit_one(single_cell_field(1, *ENTROPY_DIP))
+        assert rep.q_max[0] == pytest.approx(1.0, rel=1e-13)
+        assert rep.theta[0] == pytest.approx(0.5, rel=1e-13)
+        assert rep.theta[0] == rep.theta3[0]
 
     def test_positivity_kind_ignores_entropy(self):
-        rep = compute_theta(self.AVG, (0.9, 0.8, 1.0), REGION,
-                            kind=LIMITER_POSITIVITY)
-        assert rep.theta == 1.0
-        assert rep.theta3 == np.inf
+        fld = single_cell_field(1, *ENTROPY_DIP)
+        coeffs, rep = limit_one(fld, kind=LIMITER_POSITIVITY)
+        assert rep.theta[0] == 1.0
+        assert rep.theta3[0] == np.inf
+        np.testing.assert_array_equal(coeffs, fld.coeffs)
 
     def test_average_outside_interior_raises(self):
-        bad_avg = ConservedState(REGION.eps / 2, 0.0, 1.0)
+        fld = single_cell_field(1, [REGION.eps / 2, 1.0], [0.0], [1.0])
         with pytest.raises(RegionViolationError):
-            compute_theta(bad_avg, (-1.0, 0.8, -0.5), REGION)
+            limit_one(fld)
 
     def test_average_on_entropy_boundary_raises_when_q_violated(self):
-        avg = to_conserved(PrimitiveState(1.0, 0.0, 1.0), GAMMA)
-        region = InvariantRegion(GAMMA, s0=0.0)  # q(avg) = 0 exactly
+        # average (1, 0, 2.5) has q = 0 exactly against s0 = 0; the lower
+        # energy node has p < 1, so q > 0 there
+        fld = single_cell_field(1, [1.0], [0.0], [2.5, -0.1])
         with pytest.raises(RegionViolationError):
-            compute_theta(avg, (0.9, 0.8, 0.5), region)
+            limit_one(fld, InvariantRegion(GAMMA, s0=0.0))
 
     def test_theta_in_unit_interval(self):
         rng = np.random.default_rng(23)
-        for _ in range(500):
-            rho = rng.uniform(0.2, 3.0)
-            s = REGION.s0 + rng.uniform(0.05, 2.0)
-            avg = to_conserved(
-                PrimitiveState(rho, rng.uniform(-1, 1), np.exp(s) * rho**GAMMA),
-                GAMMA)
-            extrema = (rng.uniform(-2, 2), rng.uniform(-2, 2),
-                       rng.uniform(-2, 2))
-            rep = compute_theta(avg, extrema, REGION)
-            assert 0.0 < rep.theta <= 1.0
+        fld = random_cells(rng, 500, 2, overshoot=1.0)
+        _, rep = limit_field(fld, MESH4, REGION)
+        assert rep.n_activated > 100
+        assert np.all((0.0 < rep.theta) & (rep.theta <= 1.0))
 
 
-class TestApplyLimiter:
+class TestRescaling:
+    """The rescaling about the cell mean that ``limit_field`` applies."""
+
     def test_identity(self):
-        fld = single_cell_field(2, [1.0, 0.4, 0.1], [0.2, 0.1], [2.5, -0.3])
-        before = fld.coeffs.copy()
-        apply_limiter(fld, 0, 1.0)
-        np.testing.assert_array_equal(fld.coeffs, before)
+        fld = single_cell_field(2, [1.0, 0.1, 0.02], [0.2, 0.05], [2.5, 0.1])
+        coeffs, rep = limit_one(fld)
+        assert rep.theta[0] == 1.0
+        np.testing.assert_array_equal(coeffs, fld.coeffs)
 
     def test_scaling_about_mean(self):
-        # rho(xi) = 1 + 2 xi, theta = 0.5 -> 1 + xi
-        c1 = 2.0 / (2 * np.sqrt(3.0))
-        fld = single_cell_field(1, [1.0, c1], [0.0], [2.5])
-        apply_limiter(fld, 0, 0.5)
-        assert fld.coeffs[0, 0, 1] == pytest.approx(0.5 * c1, rel=1e-15)
+        # density nodes -1 and 3 about the mean 1 are pulled to eps and 2
+        coeffs, rep = limit_one(single_cell_field(1, *DENSITY_DIP))
+        assert coeffs[0, 0, 1] == pytest.approx(rep.theta[0] * C1_DIP,
+                                                rel=1e-15)
         V = basis_values(1, np.array([-0.5, 0.5]))
-        np.testing.assert_allclose(V @ fld.coeffs[0, 0], [0.5, 1.5], rtol=1e-14)
+        np.testing.assert_allclose(V @ coeffs[0, 0], [0.0, 2.0], atol=1e-12)
 
     def test_average_untouched_bitwise(self):
         rng = np.random.default_rng(29)
         fld = random_cells(rng, 10, 3, overshoot=5.0)
-        before = fld.averages().copy()
-        for c in range(10):
-            apply_limiter(fld, c, rng.uniform(0, 1))
-        np.testing.assert_array_equal(fld.averages(), before)
+        out, rep = limit_field(fld, MESH4, REGION)
+        assert rep.n_activated > 0
+        np.testing.assert_array_equal(out.averages(), fld.averages())
 
-    def test_bad_theta(self):
+    def test_unknown_kind_is_refused(self):
         fld = single_cell_field(1, [1.0], [0.0], [2.5])
-        with pytest.raises(ValueError):
-            apply_limiter(fld, 0, 1.5)
+        with pytest.raises(ValueError, match="unknown limiter kind"):
+            limit_one(fld, kind="tvb")
 
 
 class TestLimitField:
@@ -209,10 +259,9 @@ class TestLimitField:
                              np.where(x < 0.02, 8.928, 1.4275)])
 
         fld = l2_project(w0, mesh, 2, n_quad=10)
-        _, p_min, q_max = extrema_of_cell(fld, 12, region, default_rule(2))
-        assert p_min < 0.0  # overshoot past the right state
-        assert q_max == np.inf  # sentinel where positivity fails
         out, rep = limit_field(fld, mesh, region)
+        assert rep.p_min[12] < 0.0  # overshoot past the right state
+        assert rep.q_max[12] == np.inf  # sentinel where positivity fails
         assert rep.activated[12]
         assert 0.0 < rep.theta[12] < 1.0
         rho, p, q = _node_quantities_of(out, region)
@@ -246,10 +295,11 @@ class TestLimitField:
         assert q.max() <= Q_SLACK
 
     def test_matches_scalar_compute_theta(self):
-        # The vectorized pass must agree with the per-cell operation on every
-        # cell where the one-shot formula applies (finite q extrema); cells
-        # with q-undefined nodes take the sequential positivity-then-entropy
-        # route, so only their positivity ratios are comparable.
+        # The vectorized pass must agree with the scalar per-cell formula
+        # (``oracle_theta``) on every cell where the one-shot formula
+        # applies (finite q extrema); cells with q-undefined nodes take the
+        # sequential positivity-then-entropy route, so only their
+        # positivity ratios are comparable.
         rng = np.random.default_rng(53)
         rule = default_rule(3)
         compared = 0
@@ -258,38 +308,35 @@ class TestLimitField:
             out, rep = limit_field(fld, MESH4, REGION)
             V = basis_values(3, rule.nodes)
             for c in range(40):
-                extrema = extrema_of_cell(fld, c, REGION, rule)
-                cell_rep = compute_theta(ConservedState(*fld.coeffs[c, :, 0]),
-                                         extrema, REGION)
+                extrema = oracle_extrema(fld, c)
+                theta, theta1, theta2, theta3 = oracle_theta(
+                    fld.coeffs[c, :, 0], extrema)
                 # report slots accumulate across repair rounds; a round-off
                 # re-activation multiplies in a ratio of 1-O(1e-11), so the
                 # comparison is against the one-shot value at that tolerance
-                assert rep.theta1[c] == pytest.approx(cell_rep.theta1, rel=1e-9)
-                assert rep.rho_min[c] == pytest.approx(cell_rep.rho_min,
+                assert rep.theta1[c] == pytest.approx(theta1, rel=1e-9)
+                assert rep.rho_min[c] == pytest.approx(extrema[0],
                                                        rel=1e-13, abs=1e-13)
                 # the pressure formula only means anything where rho > 0;
                 # cells with invalid-density nodes take extra repair rounds
                 # the one-shot operation cannot see
                 if np.all(V @ fld.coeffs[c, 0] > 0.0):
-                    assert rep.theta2[c] == pytest.approx(cell_rep.theta2,
-                                                          rel=1e-9)
+                    assert rep.theta2[c] == pytest.approx(theta2, rel=1e-9)
                 if np.isfinite(extrema[2]):
                     compared += 1
                     combined = min(1.0, rep.theta1[c], rep.theta2[c],
                                    rep.theta3[c])
-                    assert combined == pytest.approx(cell_rep.theta, rel=1e-9)
-                    assert rep.theta3[c] == pytest.approx(cell_rep.theta3,
-                                                          rel=1e-9)
+                    assert combined == pytest.approx(theta, rel=1e-9)
+                    assert rep.theta3[c] == pytest.approx(theta3, rel=1e-9)
         assert compared >= 20  # the one-shot route is actually exercised
 
     def test_positivity_kind_leaves_entropy_violations(self):
         # strong entropy overshoot but positive rho, p everywhere
         fld = single_cell_field(2, [2.0, 0.3], [0.0], [3.0, -1.2])
         region = InvariantRegion(GAMMA, s0=-0.2)
-        _, _, q_max = extrema_of_cell(fld, 0, region, default_rule(2))
-        assert q_max > Q_SLACK
         out, rep = limit_field(fld, MESH4.__class__(0.0, 1.0, 1), region,
                                LIMITER_POSITIVITY)
+        assert rep.q_max[0] > Q_SLACK
         np.testing.assert_array_equal(out.coeffs, fld.coeffs)
         assert rep.n_activated == 0
 

@@ -8,14 +8,15 @@ invariants.
 import numpy as np
 import pytest
 
-from irpdg.dg_space import DGField, Mesh1D, l2_project
+import irpdg.time_integration as ti
+from irpdg.dg_space import DGField, Mesh1D, gauss_lobatto_rule, \
+    global_max_signal_speed, l2_project, spatial_operator
 from irpdg.euler_core import InvariantRegion, PrimitiveState, to_conserved
-from irpdg.irp_limiter import RegionViolationError
+from irpdg.irp_limiter import RegionViolationError, default_rule, \
+    limit_field
 from irpdg.time_integration import (
     EvolveOptions,
-    MultistepHistory,
-    TimeController,
-    compute_dt,
+    _dt_for_speed,
     evolve,
     ssp_ms3_step,
     ssp_rk3_step,
@@ -42,28 +43,27 @@ def scalar_field(value):
     return DGField(0, coeffs)
 
 
-class TestComputeDt:
+def wave_speed(fld):
+    return global_max_signal_speed(fld, GAMMA, gauss_lobatto_rule(3))
+
+
+class TestDtForSpeed:
     def test_reference_value(self):
         # k=2 -> 3 Lobatto points, w1 = 1/6; h=0.01; max speed 1
-        mesh = Mesh1D(0.0, 1.0, 100)
         fld = constant_field(100, 2, 1.0, 0.0, 1.0 / GAMMA)  # c = 1, u = 0
-        ctrl = TimeController(cfl_fraction=1.0, w_hat_1=1.0 / 6.0)
-        dt = compute_dt(fld, mesh, ctrl, GAMMA)
+        dt = _dt_for_speed(wave_speed(fld), 0.01, 1.0, 1.0 / 6.0)
         assert dt == pytest.approx(0.01 / 12.0, rel=1e-12)
 
     def test_end_clipping(self):
-        mesh = Mesh1D(0.0, 1.0, 100)
         fld = constant_field(100, 2, 1.0, 0.0, 1.0 / GAMMA)
-        ctrl = TimeController(cfl_fraction=1.0, w_hat_1=1.0 / 6.0, t=0.4995)
-        dt = compute_dt(fld, mesh, ctrl, GAMMA, t_final=0.5)
+        dt = _dt_for_speed(wave_speed(fld), 0.01, 1.0, 1.0 / 6.0,
+                           t=0.4995, t_final=0.5)
         assert dt == pytest.approx(0.0005, rel=1e-12)
 
     def test_doubling_h_doubles_dt(self):
-        ctrl = TimeController(cfl_fraction=0.8, w_hat_1=1.0 / 6.0)
-        dt1 = compute_dt(constant_field(100, 2, 1.0, 0.5, 1.0), Mesh1D(0, 1, 100),
-                         ctrl, GAMMA)
-        dt2 = compute_dt(constant_field(50, 2, 1.0, 0.5, 1.0), Mesh1D(0, 1, 50),
-                         ctrl, GAMMA)
+        speed = wave_speed(constant_field(100, 2, 1.0, 0.5, 1.0))
+        dt1 = _dt_for_speed(speed, Mesh1D(0, 1, 100).h, 0.8, 1.0 / 6.0)
+        dt2 = _dt_for_speed(speed, Mesh1D(0, 1, 50).h, 0.8, 1.0 / 6.0)
         assert dt2 == pytest.approx(2 * dt1, rel=1e-12)
 
     def test_cfl_invariant_is_a_real_check(self):
@@ -71,9 +71,8 @@ class TestComputeDt:
         # raises ValueError, which survives ``python -O`` unlike an assert
         fld = constant_field(4, 2, 1.0, 0.0, 1.0)
         fld.coeffs[2, 2, 0] = np.nan
-        ctrl = TimeController(cfl_fraction=1.0, w_hat_1=1.0 / 6.0)
         with pytest.raises(ValueError, match="CFL invariant violated"):
-            compute_dt(fld, Mesh1D(0.0, 1.0, 4), ctrl, GAMMA)
+            _dt_for_speed(wave_speed(fld), 0.25, 1.0, 1.0 / 6.0)
 
 
 class TestSspRk3:
@@ -110,38 +109,43 @@ class TestSspRk3:
 
 
 class TestSspMs3:
-    def make_history(self, values, resids, dt):
-        hist = MultistepHistory()
-        for v, r in zip(values, resids):
-            coeffs = np.zeros((1, 3, 1))
-            coeffs[0, :, 0] = v
-            hist.push(DGField(0, coeffs), np.full((1, 3, 1), r), dt)
-        return hist
+    def make_history(self, values, resids):
+        """(coefficients, residual) pairs, oldest first."""
+        return [(np.full((1, 3, 1), v), np.full((1, 3, 1), r))
+                for v, r in zip(values, resids)]
+
+    def step(self, history, dt):
+        return ssp_ms3_step(*history[-1], *history[0], dt)
 
     def test_zero_rhs_convex_combination(self):
-        hist = self.make_history([5.0, 1.0, 2.0, 3.0], [0, 0, 0, 0], 0.1)
-        out = ssp_ms3_step(hist, 0.1)
-        assert out.coeffs[0, 0, 0] == pytest.approx(16 / 27 * 3.0 + 11 / 27 * 5.0,
-                                                    rel=1e-14)
+        hist = self.make_history([5.0, 1.0, 2.0, 3.0], [0, 0, 0, 0])
+        out = self.step(hist, 0.1)
+        assert out[0, 0, 0] == pytest.approx(16 / 27 * 3.0 + 11 / 27 * 5.0,
+                                             rel=1e-14)
 
     def test_constant_state_fixed_point(self):
-        hist = self.make_history([4.0, 4.0, 4.0, 4.0], [0, 0, 0, 0], 0.05)
-        out = ssp_ms3_step(hist, 0.05)
-        assert out.coeffs[0, 0, 0] == pytest.approx(4.0, rel=1e-15)
+        hist = self.make_history([4.0, 4.0, 4.0, 4.0], [0, 0, 0, 0])
+        out = self.step(hist, 0.05)
+        assert out[0, 0, 0] == pytest.approx(4.0, rel=1e-15)
 
-    def test_requires_full_history(self):
-        hist = self.make_history([1.0, 2.0], [0, 0], 0.1)
-        with pytest.raises(ValueError):
-            ssp_ms3_step(hist, 0.1)
+    def test_requires_full_history(self, monkeypatch):
+        # the multistep update waits for four steps; RK3 takes the first three
+        calls = {"rk3": 0, "ms3": 0}
 
-    def test_rejects_nonconstant_dt(self):
-        hist = MultistepHistory()
-        for i, dt in enumerate([0.1, 0.1, 0.05, 0.1]):
-            coeffs = np.zeros((1, 3, 1))
-            coeffs[0, :, 0] = float(i)
-            hist.push(DGField(0, coeffs), np.zeros((1, 3, 1)), dt)
-        with pytest.raises(ValueError):
-            ssp_ms3_step(hist, 0.1)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ti, "ssp_rk3_step", counted("rk3", ssp_rk3_step))
+        monkeypatch.setattr(ti, "ssp_ms3_step", counted("ms3", ssp_ms3_step))
+        fld, mesh, region = build_smooth_problem(16)
+        res = evolve(fld, mesh, region,
+                     EvolveOptions(t_final=0.01, integrator="ms3"))
+        steps = res.diagnostics[-1].step
+        assert steps > 4
+        assert calls == {"rk3": 3, "ms3": steps - 3}
 
     def test_linear_amplification_error_is_fourth_order(self):
         # exact-exponential history; the one-step defect against e^{4z}
@@ -153,19 +157,13 @@ class TestSspMs3:
             hist = self.make_history([np.exp(0.0), np.exp(z), np.exp(2 * z),
                                       np.exp(3 * z)],
                                      [lam * np.exp(0.0), lam * np.exp(z),
-                                      lam * np.exp(2 * z), lam * np.exp(3 * z)],
-                                     dt)
-            out = ssp_ms3_step(hist, dt)
-            return abs(out.coeffs[0, 0, 0] - np.exp(4 * z))
+                                      lam * np.exp(2 * z), lam * np.exp(3 * z)])
+            out = self.step(hist, dt)
+            return abs(out[0, 0, 0] - np.exp(4 * z))
 
         d1, d2 = defect(0.02), defect(0.01)
         assert d1 / d2 == pytest.approx(16.0, rel=0.15)
         assert d1 == pytest.approx((2.0 / 3.0) * 0.02**4, rel=0.1)
-
-    def test_history_ring_buffer_depth(self):
-        hist = self.make_history([1, 2, 3, 4, 5, 6], [0] * 6, 0.1)
-        assert len(hist.fields) == 4
-        assert hist.fields[0].coeffs[0, 0, 0] == 3.0
 
 
 def build_smooth_problem(n_cells, degree=2):
@@ -177,6 +175,33 @@ def build_smooth_problem(n_cells, degree=2):
     region = InvariantRegion(GAMMA, s0=s0)
     fld = l2_project(smooth_advection_w0, mesh, degree)
     return fld, mesh, region
+
+
+def plain_ms3(fld, mesh, t_final, cfl):
+    """Unlimited multistep run: (final coefficients, frozen dt, steps)."""
+    rule = default_rule(fld.degree)
+    speed0 = global_max_signal_speed(fld, GAMMA, rule)
+    dt_raw = cfl * 0.5 * rule.weights[0] * mesh.h / speed0
+    n = max(1, int(np.ceil(t_final / dt_raw - 1e-12)))
+    dt = t_final / n
+    w, history = fld.coeffs, []
+    for k in range(n):
+        alpha = global_max_signal_speed(DGField(fld.degree, w), GAMMA, rule)
+
+        def rhs(c):
+            return spatial_operator(DGField(fld.degree, c), mesh, GAMMA, alpha)
+
+        r = rhs(w)
+        history.append((w, r))
+        if k >= 3:
+            w_old, r_old = history[k - 3]
+            w = 16 / 27 * (w + 3 * dt * r) \
+                + 11 / 27 * (w_old + 12 / 11 * dt * r_old)
+        else:
+            s1 = w + dt * r
+            s2 = 0.75 * w + 0.25 * (s1 + dt * rhs(s1))
+            w = (w + 2.0 * (s2 + dt * rhs(s2))) / 3.0
+    return w, dt, n
 
 
 class TestEvolve:
@@ -227,13 +252,48 @@ class TestEvolve:
 
     def test_ms3_cfl_abort_on_overrun(self):
         # cfl 0.9 exceeds the multistep SSP bound; speed growth trips the
-        # frozen-dt check partway through the run
+        # frozen-dt check partway through the run.  The check runs before
+        # step 482 is taken, after 481 completed steps; the abort and its
+        # message both name that count.
         fld, mesh, region = build_smooth_problem(16)
         with pytest.raises(RegionViolationError) as exc:
             evolve(fld, mesh, region,
                    EvolveOptions(t_final=1.0, integrator="ms3",
                                  cfl_fraction=0.9))
-        assert exc.value.step is not None
+        assert exc.value.step == 481
+        assert "CFL bound at step 481 " in str(exc.value)
+
+    def test_ms3_zero_final_time_returns_limited_projection(self,
+                                                            monkeypatch):
+        # no step is taken, so no dt is frozen and no wave speed evaluated
+        calls = []
+        monkeypatch.setattr(ti, "global_max_signal_speed",
+                            lambda *a: calls.append(a))
+        fld, mesh, region = build_smooth_problem(16)
+        res = evolve(fld, mesh, region,
+                     EvolveOptions(t_final=0.0, integrator="ms3"))
+        expected, rep = limit_field(fld, mesh, region)
+        np.testing.assert_array_equal(res.final.coeffs, expected.coeffs)
+        np.testing.assert_array_equal(res.theta_last, rep.theta)
+        assert [(d.step, d.t, d.dt) for d in res.diagnostics] == [(0, 0.0, 0.0)]
+        assert calls == []
+
+    def test_ms3_without_limiter_matches_the_plain_scheme(self):
+        # limiter none with per_step placement: the bits of a multistep run
+        # spelled out step by step, three RK3 steps then the two-term update
+        fld, mesh, region = build_smooth_problem(16)
+        res = evolve(fld, mesh, region,
+                     EvolveOptions(t_final=0.02, integrator="ms3",
+                                   limiter_kind="none", placement="per_step"))
+        coeffs, dt, n = plain_ms3(fld, mesh, 0.02, 0.3)
+        assert n > 4
+        np.testing.assert_array_equal(res.final.coeffs, coeffs)
+        assert [d.step for d in res.diagnostics] == list(range(n + 1))
+        assert all(d.dt == dt and d.t == d.step * dt
+                   for d in res.diagnostics[1:])
+        assert all(d.min_theta == 1.0 and d.n_activated == 0
+                   for d in res.diagnostics)
+        assert np.all(res.theta_last == 1.0)
 
     def test_abort_in_the_initial_limit_reports_step_0(self):
         fld = constant_field(8, 2, 1.0, 0.0, 1.0)
