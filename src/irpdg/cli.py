@@ -92,6 +92,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             return fromfile[key]
         return _DEFAULTS.get(key)
 
+    def number(key: str, kind=float, default=None):
+        text = pick(key)
+        if text is None:
+            return default
+        try:
+            return kind(text)
+        except ValueError as err:
+            raise ConfigError(f"bad {key} value {text!r}") from err
+
     problem = pick("problem")
     if problem is None:
         raise ConfigError("no problem selected (flag --problem or config file)")
@@ -100,19 +109,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     domain = pick("domain")
     cfg = RunConfig(
         problem=problem,
-        degree=int(pick("degree")),
-        n_cells=int(pick("cells")),
+        degree=number("degree", int),
+        n_cells=number("cells", int),
         limiter=pick("limiter"),
         integrator=pick("integrator"),
-        cfl_fraction=None if pick("cfl") is None else float(pick("cfl")),
-        t_final=None if pick("tfinal") is None else float(pick("tfinal")),
-        gamma=float(pick("gamma")),
-        epsilon=float(pick("eps")),
+        cfl_fraction=number("cfl"),
+        t_final=number("tfinal"),
+        gamma=number("gamma"),
+        epsilon=number("eps"),
         output_path=pick("out"),
         limiter_placement=pick("placement"),
         left=None if left is None else PrimitiveState(*_parse_floats(left, 3)),
         right=None if right is None else PrimitiveState(*_parse_floats(right, 3)),
-        x0=0.0 if pick("x0") is None else float(pick("x0")),
+        x0=number("x0", default=0.0),
         domain=None if domain is None else _parse_floats(domain, 2))
     cfg.validate()
     return cfg

@@ -115,7 +115,11 @@ def basis_table(degree: int, xi_nodes) -> np.ndarray:
 
     The table keeps the memory layout ``basis_values`` gives it, which is not
     C-contiguous: einsum rounds differently over a contiguous copy, and the
-    contractions over this table must round as over a fresh one.
+    limiter's einsum over this table must round as over a fresh one.  Its
+    mode axis is strided, so that einsum sums the modes left to right from
+    +0; ``global_max_signal_speed`` takes its node values with the same sum
+    (``_values_at``), which equals ``einsum("cvj,nj->cvn")`` over this table
+    bit for bit on numpy 2.4, checked through degree 6.
     """
     nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
     return _basis_table(degree, nodes.tobytes())
@@ -230,39 +234,96 @@ def lax_friedrichs_flux(wL: ConservedState, wR: ConservedState,
     return 0.5 * (FL + FR) - 0.5 * alpha * jump
 
 
+def _values_at(coeffs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Cell polynomials at a basis table's nodes; (3, n_nodes, n_cells).
+
+    One broadcast multiply over the mode-major view ``coeffs.T`` and a sum
+    over the modes left to right from +0, einsum's order over ``V``'s
+    strided mode axis (see ``basis_table``).  Each variable is one
+    contiguous block.
+    """
+    return np.add.reduce(coeffs.T[:, :, None, :] * V.T[:, None, :, None])
+
+
 def global_max_signal_speed(fld: DGField, gamma: float,
                             rule: QuadratureRule) -> float:
     """Max of |u| + c over all cells at the given reference nodes."""
-    vals = evaluate_at_nodes(fld, rule.nodes)
-    rho, m, E = np.ascontiguousarray(vals.transpose(1, 0, 2))
+    rho, m, E = _values_at(fld.coeffs, basis_table(fld.degree, rule.nodes))
     bad = rho <= 0.0
     if np.any(bad):
-        cell = int(np.argwhere(bad.any(axis=1))[0][0])
+        cell = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValueError(f"nonpositive density at test node of cell {cell}")
     p = (gamma - 1.0) * (E - 0.5 * m * m / rho)
     bad = p < 0.0
     if np.any(bad):
-        cell = int(np.argwhere(bad.any(axis=1))[0][0])
+        cell = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValueError(f"negative pressure at test node of cell {cell}")
     return float(np.max(np.abs(m / rho) + np.sqrt(gamma * p / rho)))
 
 
-def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray,
-                gamma: float) -> np.ndarray:
-    """``physical_flux`` arithmetic for arrays whose density is known nonzero."""
+def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray, gamma: float,
+                out: np.ndarray) -> np.ndarray:
+    """``physical_flux`` arithmetic into ``out`` for states with nonzero density.
+
+    The same operations in the same order as ``physical_flux``, done in
+    place where that saves a temporary.
+    """
     u = m / rho
-    p = (gamma - 1.0) * (E - 0.5 * m**2 / rho)
-    return np.stack([m, m * u + p, (E + p) * u])
+    p = np.square(m)  # m**2
+    p *= 0.5
+    p /= rho
+    np.subtract(E, p, out=p)
+    p *= gamma - 1.0
+    out[0] = m
+    np.multiply(m, u, out=out[1])
+    out[1] += p
+    np.add(E, p, out=out[2])
+    out[2] *= u
+    return out
 
 
 @lru_cache(maxsize=None)
 def _operator_tables(degree: int):
+    """Volume rule and the tables, shaped to broadcast in ``spatial_operator``.
+
+    The node table (k, 1, q+2, 1) meets the mode-major coefficient view
+    (k, 3, 1, n_cells); its columns are the q volume nodes, then the left
+    and the right cell edge.  Dq is (q, k, 1, 1), the edge values (k, 1, 1).
+    """
     vol = gauss_legendre_rule(degree + 1)
     Vq = basis_values(degree, vol.nodes)
-    Dq = basis_derivatives(degree, vol.nodes)
     phi_left = basis_values(degree, -0.5)
     phi_right = basis_values(degree, 0.5)
-    return vol, _frozen(Vq), _frozen(Dq), _frozen(phi_left), _frozen(phi_right)
+    at_nodes = np.concatenate([Vq.T, phi_left[:, None], phi_right[:, None]],
+                              axis=1)
+    Dq = basis_derivatives(degree, vol.nodes)
+    return (vol, _frozen(at_nodes[:, None, :, None]),
+            _frozen(Dq[:, :, None, None]), _frozen(phi_left[:, None, None]),
+            _frozen(phi_right[:, None, None]))
+
+
+def _einsum_order_sum(a: np.ndarray, b: np.ndarray, lanes: int,
+                      out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``sum_j a[j] * b[j]`` into ``out``, in the order einsum sums axis j.
+
+    einsum keeps ``lanes`` partial sums, lane i adding the terms i,
+    i + lanes, ... left to right from +0, and adds the lanes in order: two
+    lanes where the axis is contiguous in both operands,
+    (0 + p0 + p2 + p4 + p6) + (0 + p1 + p3 + p5), and one where it is strided
+    in one of them (numpy 2.4, checked for axis lengths 1-7).  ``tmp``, of
+    ``out``'s shape, takes the first lane's products and then holds the
+    second lane, so with up to three terms no product needs a new array.
+    """
+    np.multiply(a[0], b[0], out=out)
+    for j in range(lanes, len(a), lanes):
+        out += np.multiply(a[j], b[j], out=tmp)
+    for lane in range(1, min(lanes, len(a))):
+        acc = np.multiply(a[lane], b[lane], out=tmp)
+        for j in range(lane + lanes, len(a), lanes):
+            acc += a[j] * b[j]
+        out += acc
+    out += 0.0  # the lanes start from +0, so a sum of -0 terms is +0
+    return out
 
 
 def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
@@ -271,49 +332,66 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
 
     Volume integrals use degree+1 Gauss-Legendre points; interface fluxes are
     global Lax-Friedrichs with the supplied alpha.  ``inflow_left`` supplies
-    the prescribed upstream state for inflow_outflow meshes.  Summation order
-    is fixed, so results are reproducible bit-for-bit.
+    the prescribed upstream state for inflow_outflow meshes.
+
+    Summation order is fixed, so results are reproducible bit for bit.  It is
+    the order of the einsums the operator was first written with, on numpy
+    2.4 and through degree 6: each contraction is a broadcast multiply over
+    the mode-major view ``fld.coeffs.T`` and a sum over the contracted axis.
+    The values at the volume nodes and both edges (``einsum("cvj,qj->vcq")``
+    and ``einsum("cvj,j->vc")``, over a contiguous mode axis) sum in two
+    lanes (``_einsum_order_sum``); the volume term
+    (``einsum("vcq,qj->cvj", F * w, Dq)``) sums the nodes left to right.
     """
     if fld.n_cells != mesh.n_cells:
         raise ValueError("field and mesh cell counts differ")
     if mesh.boundary == INFLOW_OUTFLOW and inflow_left is None:
         raise ValueError("inflow_outflow boundary needs an inflow_left state")
-    vol, Vq, Dq, phi_left, phi_right = _operator_tables(fld.degree)
+    vol, at_nodes, Dq, phi_left, phi_right = _operator_tables(fld.degree)
+    nq = vol.nodes.size
+    n = fld.n_cells
 
-    # contiguous per variable, so the flux's elementwise passes vectorize
-    vals = np.ascontiguousarray(np.einsum("cvj,qj->vcq", fld.coeffs, Vq))
-    rho = vals[0]
-    if np.any(rho == 0.0):
-        cell = int(np.argwhere((rho == 0.0).any(axis=1))[0][0])
+    # rows 0-2: (rho, m, E) at the volume nodes and then at the left and the
+    # right edge of every cell, (node, cell) in each row; rows 3-5: the
+    # physical flux of those states, which also hold the products until then
+    nodes = np.empty((6, nq + 2, n))
+    rho = _einsum_order_sum(fld.coeffs.T[:, :, None, :], at_nodes, 2,
+                            out=nodes[:3], tmp=nodes[3:])[0]
+    if np.any(rho[:nq] == 0.0):
+        cell = int(np.flatnonzero((rho[:nq] == 0.0).any(axis=0))[0])
         raise ZeroDivisionError(
             f"zero density at volume node of cell {cell}; limiter should have prevented this")
-    F = _euler_flux(rho, vals[1], vals[2], gamma)
-    volume = np.einsum("vcq,qj->cvj", F * vol.weights, Dq)
-
-    trace_l = np.einsum("cvj,j->vc", fld.coeffs, phi_left)
-    trace_r = np.einsum("cvj,j->vc", fld.coeffs, phi_right)
-    # states on the left (w[:, 0]) and right (w[:, 1]) of each interface
-    w = np.empty((3, 2, fld.n_cells + 1))
-    w[:, 0, 1:] = trace_r
-    w[:, 1, :-1] = trace_l
-    if mesh.boundary == PERIODIC:
-        w[:, 0, 0] = trace_r[:, -1]
-        w[:, 1, -1] = trace_l[:, 0]
-    elif mesh.boundary == INFLOW_OUTFLOW:
-        w[:, 0, 0] = inflow_left
-        w[:, 1, -1] = trace_r[:, -1]
-    else:  # outflow: ghost states copy the interior trace
-        w[:, 0, 0] = trace_l[:, 0]
-        w[:, 1, -1] = trace_r[:, -1]
-    if np.any(w[0] == 0.0):
+    if np.any(rho[nq:] == 0.0) or \
+            (mesh.boundary == INFLOW_OUTFLOW and inflow_left[0] == 0.0):
         raise ZeroDivisionError("zero density at a cell interface trace")
-    # lax_friedrichs_flux's arithmetic, without its per-call checks
-    Fw = _euler_flux(*w, gamma)  # both sides in one call
-    fluxes = 0.5 * (Fw[:, 0] + Fw[:, 1]) \
-        - 0.5 * alpha * (w[:, 1] - w[:, 0])  # (3, n_cells+1)
+    _euler_flux(*nodes[:3], gamma, out=nodes[3:])
 
-    resid = volume
-    resid -= np.einsum("vc,j->cvj", fluxes[:, 1:], phi_right)
-    resid += np.einsum("vc,j->cvj", fluxes[:, :-1], phi_left)
-    resid /= mesh.h
-    return resid
+    # state and flux on the left (w[:, 0]) and right (w[:, 1]) of each interface
+    left_edge, right_edge = nodes[:, nq], nodes[:, nq + 1]
+    w = np.empty((6, 2, n + 1))
+    w[:, 0, 1:] = right_edge
+    w[:, 1, :-1] = left_edge
+    if mesh.boundary == PERIODIC:
+        w[:, 0, 0] = right_edge[:, -1]
+        w[:, 1, -1] = left_edge[:, 0]
+    elif mesh.boundary == INFLOW_OUTFLOW:
+        w[:3, 0, :1] = np.reshape(inflow_left, (3, 1))
+        _euler_flux(*w[:3, 0, :1], gamma, out=w[3:, 0, :1])
+        w[:, 1, -1] = right_edge[:, -1]
+    else:  # outflow: ghost states copy the interior trace
+        w[:, 0, 0] = left_edge[:, 0]
+        w[:, 1, -1] = right_edge[:, -1]
+    # lax_friedrichs_flux's arithmetic, without its per-call checks
+    fluxes = 0.5 * (w[3:, 0] + w[3:, 1]) \
+        - 0.5 * alpha * (w[:3, 1] - w[:3, 0])  # (3, n_cells+1)
+    del w  # a smaller peak footprint: freed before the volume term
+
+    F = nodes[3:, :nq]
+    F *= vol.weights[:, None]
+    resid = np.empty((fld.degree + 1, 3, n))
+    _einsum_order_sum(F.transpose(1, 0, 2)[:, None], Dq, 1, out=resid,
+                      tmp=np.empty_like(resid))
+    resid -= fluxes[:, 1:] * phi_right
+    resid += fluxes[:, :-1] * phi_left
+    # the last pass also lays the result out as fld.coeffs, (n_cells, 3, k)
+    return np.divide(resid.T, mesh.h, out=np.empty_like(fld.coeffs))

@@ -167,8 +167,9 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     The incoming field (normally a fresh L2 projection) is limited once
     before stepping.  RK3 takes each dt from the wave speed that also gives
-    the step's flux alpha.  MS3 freezes one dt that lands on t_final, keeps
-    the (coefficients, residual) pairs of its last four steps and takes RK3
+    the step's flux alpha.  MS3 freezes one dt that lands on t_final, from
+    the wave speed that is also its first step's alpha, keeps the
+    (coefficients, residual) pairs of its last four steps and takes RK3
     steps until it has four.  A RegionViolationError raised by the limiter
     aborts the run with the failing step index attached (0 for that first
     limit).
@@ -196,16 +197,19 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         theta_last = rep0.theta
         diagnostics = [_diagnostics(0, 0.0, 0.0, fld, mesh, region,
                                     [rep0] if stage_limit else [])]
+        speed = None  # the wave speed of fld, where already evaluated
         if multistep and opts.t_final > 0.0:
             # Constant dt for the whole run, frozen from the initial signal
             # speed and chosen to land exactly on t_final.
-            dt_raw = _dt_for_speed(global_max_signal_speed(fld, gamma, rule),
-                                   mesh.h, cfl, w_hat_1)
+            speed = global_max_signal_speed(fld, gamma, rule)
+            dt_raw = _dt_for_speed(speed, mesh.h, cfl, w_hat_1)
             n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
             dt = opts.t_final / n_steps
         while step < n_steps if multistep else opts.t_final - t > t_tol:
             # one wave-speed evaluation gives the flux's alpha and RK3's step
-            alpha = global_max_signal_speed(fld, gamma, rule)
+            alpha = global_max_signal_speed(fld, gamma, rule) \
+                if speed is None else speed
+            speed = None
             if not multistep:
                 dt = _dt_for_speed(alpha, mesh.h, cfl, w_hat_1, t, opts.t_final)
             elif (dt / mesh.h) * alpha > 0.5 * w_hat_1 * (1.0 + 1e-12):

@@ -18,6 +18,8 @@ from irpdg.dg_space import INFLOW_OUTFLOW, OUTFLOW, PERIODIC, DGField, \
     Mesh1D, basis_derivatives, basis_values, gauss_legendre_rule, \
     gauss_lobatto_rule, global_max_signal_speed, lax_friedrichs_flux, \
     spatial_operator
+from irpdg.dg_space import _einsum_order_sum, _operator_tables, _values_at, \
+    basis_table
 from irpdg.euler_core import ConservedState, InvariantRegion, \
     PrimitiveState, physical_flux, sound_speed, to_conserved
 from irpdg.harness import RunConfig, run
@@ -359,3 +361,184 @@ def test_identical_runs_give_identical_bits(config):
     digests = {hashlib.sha256(run(config).result.final.coeffs.tobytes())
                .hexdigest() for _ in range(2)}
     assert len(digests) == 1
+
+
+# The operator's and the wave speed's contractions are broadcast multiplies
+# and sums in einsum's order (``dg_space._einsum_order_sum``, ``_values_at``);
+# the tests below pin each to the einsum it replaced, over the layouts the
+# einsums saw: contiguous Vq, Dq and traces, and ``basis_table``'s own.
+
+KERNEL_DEGREES = tuple(range(7))
+KERNEL_SIZES = (1, 2, 3, 2560)
+
+
+def same_bits(got, expected):
+    """Equal shapes and bit patterns, so also the sign of every zero."""
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
+    return got.shape == expected.shape and \
+        np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def spread_values(rng, shape):
+    """Normal values with magnitudes spread over 1e-3 ... 1e3."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+
+def assert_kernels_match_einsum(coeffs, F):
+    """Node values and traces, volume term and wave-speed node values."""
+    deg = coeffs.shape[2] - 1
+    n = coeffs.shape[0]
+    vol, at_nodes, Dq_table, _, _ = _operator_tables(deg)
+    nq = vol.nodes.size
+    Vq = np.ascontiguousarray(basis_values(deg, vol.nodes))
+    Dq = np.ascontiguousarray(basis_derivatives(deg, vol.nodes))
+
+    vals = np.empty((3, nq + 2, n))
+    _einsum_order_sum(coeffs.T[:, :, None, :], at_nodes, 2, out=vals,
+                      tmp=np.empty_like(vals))
+    assert same_bits(vals[:, :nq].transpose(0, 2, 1),
+                     np.einsum("cvj,qj->vcq", coeffs, Vq))
+    assert same_bits(vals[:, nq],
+                     np.einsum("cvj,j->vc", coeffs, basis_values(deg, -0.5)))
+    assert same_bits(vals[:, nq + 1],
+                     np.einsum("cvj,j->vc", coeffs, basis_values(deg, 0.5)))
+
+    Fw = F * vol.weights  # (3, n, nq), as the flux was laid out
+    volume = np.empty((deg + 1, 3, n))
+    _einsum_order_sum(Fw.transpose(2, 0, 1)[:, None], Dq_table, 1,
+                      out=volume, tmp=np.empty_like(volume))
+    assert same_bits(volume.transpose(2, 1, 0),
+                     np.einsum("vcq,qj->cvj", Fw, Dq))
+
+    for rule in (default_rule(deg), gauss_lobatto_rule(4),
+                 gauss_legendre_rule(deg + 1)):
+        V = basis_table(deg, rule.nodes)
+        assert same_bits(_values_at(coeffs, V).transpose(2, 0, 1),
+                         np.einsum("cvj,nj->cvn", coeffs, V))
+
+
+@pytest.mark.parametrize("n_cells", KERNEL_SIZES)
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+def test_kernels_sum_in_einsums_order(degree, n_cells):
+    rng = np.random.default_rng(100 * degree + n_cells)
+    coeffs = spread_values(rng, (n_cells, 3, degree + 1))
+    F = spread_values(rng, (3, n_cells, degree + 1))
+    assert_kernels_match_einsum(coeffs, F)
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+def test_kernels_sum_signed_zeros_as_einsum(degree):
+    # einsum's partial sums start from +0, so a sum of -0 terms is +0
+    rng = np.random.default_rng(degree)
+    coeffs = spread_values(rng, (12, 3, degree + 1))
+    coeffs[[1, 4], 1] = -0.0
+    coeffs[[2, 7], 0] = 0.0
+    coeffs[5] = -0.0
+    coeffs[8, :, ::2] = -0.0
+    F = spread_values(rng, (3, 12, degree + 1))
+    F[1, [0, 3]] = -0.0
+    F[2, 6] = 0.0
+    assert_kernels_match_einsum(coeffs, F)
+
+
+@pytest.mark.parametrize("n_cells", (1, 2, 2560))
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW, INFLOW_OUTFLOW))
+def test_spatial_operator_bit_exact_at_edge_sizes(degree, boundary, n_cells):
+    rng = np.random.default_rng(n_cells + 10 * degree + len(boundary))
+    fld = random_field(rng, n_cells, degree, 0.2)
+    mesh = Mesh1D(-1.0, 2.0, n_cells, boundary)
+    ghost = to_conserved(PrimitiveState(3.857143, 2.629369, 10.3333), GAMMA) \
+        if boundary == INFLOW_OUTFLOW else None
+    got = spatial_operator(fld, mesh, GAMMA, 4.7, ghost)
+    assert got.flags.c_contiguous
+    assert same_bits(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7,
+                                                  ghost))
+
+
+@pytest.mark.parametrize("n_cells", (1, 2, 2560))
+@pytest.mark.parametrize("degree", DEGREES)
+def test_global_max_signal_speed_bit_exact_at_edge_sizes(degree, n_cells):
+    fld = random_field(np.random.default_rng(degree + n_cells), n_cells,
+                       degree, 0.01)
+    for rule in (default_rule(degree), gauss_lobatto_rule(4),
+                 gauss_legendre_rule(degree + 1)):
+        assert global_max_signal_speed(fld, GAMMA, rule) == \
+            oracle_max_signal_speed(fld, GAMMA, rule)
+
+
+def test_global_max_signal_speed_names_the_first_failing_cell():
+    fld = random_field(np.random.default_rng(9), 30, 2, 0.01)
+    rule = default_rule(2)
+    bad = fld.copy()
+    bad.coeffs[[21, 6], 0, 0] = -1.0
+    with pytest.raises(ValueError, match="nonpositive density at test node "
+                                         "of cell 6$"):
+        global_max_signal_speed(bad, GAMMA, rule)
+    bad = fld.copy()
+    bad.coeffs[[25, 13], 2, 0] = 0.01
+    with pytest.raises(ValueError, match="negative pressure at test node of "
+                                         "cell 13$"):
+        global_max_signal_speed(bad, GAMMA, rule)
+
+
+@pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW, INFLOW_OUTFLOW))
+def test_spatial_operator_zero_density_errors_as_before(boundary):
+    mesh = Mesh1D(0.0, 1.0, 20, boundary)
+    ghost = ConservedState(1.0, 0.5, 2.5) \
+        if boundary == INFLOW_OUTFLOW else None
+    fld = random_field(np.random.default_rng(12), 20, 1, 0.01)
+    fld.coeffs[[15, 9], 0, :] = 0.0
+    with pytest.raises(ZeroDivisionError, match="volume node of cell 9;"):
+        spatial_operator(fld, mesh, GAMMA, 3.0, ghost)
+    # a degree-1 density that is exactly 0 at the right edge of cell 4 and
+    # positive at its volume nodes: phi_1(1/2) - phi_1(1/2) * 1
+    fld = random_field(np.random.default_rng(12), 20, 1, 0.01)
+    fld.coeffs[4, 0] = [basis_values(1, 0.5)[1], -1.0]
+    with pytest.raises(ZeroDivisionError, match="interface trace"):
+        spatial_operator(fld, mesh, GAMMA, 3.0, ghost)
+    if boundary == INFLOW_OUTFLOW:
+        fld = random_field(np.random.default_rng(12), 20, 1, 0.01)
+        with pytest.raises(ZeroDivisionError, match="interface trace"):
+            spatial_operator(fld, mesh, GAMMA, 3.0,
+                             ConservedState(0.0, 0.5, 2.5))
+
+
+def test_ms3_evaluates_the_wave_speed_once_per_step(monkeypatch):
+    # the speed that freezes dt is also the first step's alpha
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return global_max_signal_speed(*args)
+
+    monkeypatch.setattr(ti, "global_max_signal_speed", counted)
+    out = run(RunConfig(problem="smooth_advection", degree=3, n_cells=16,
+                        integrator="ms3", limiter_placement="per_step",
+                        t_final=0.02))
+    assert len(calls) == out.result.diagnostics[-1].step > 3
+
+
+# SHA-256 of ``final.coeffs`` as the einsum-based operator left them (numpy
+# 2.4.6, x86-64).  The operator's sums follow einsum's order on that numpy,
+# so a different numpy may move these bits.
+FINAL_FIELD_SHA256 = {
+    "shu_osher_rk3": (
+        RunConfig(problem="shu_osher", degree=2, n_cells=64, t_final=0.05),
+        "795960519a8edd19c8973bfb296801e578e59a2fd72649b2c48ef34fd6f9d5ae"),
+    "advection_ms3": (
+        RunConfig(problem="smooth_advection", degree=3, n_cells=16,
+                  integrator="ms3", limiter_placement="per_step",
+                  t_final=0.02),
+        "ec3dca92189d30e2a629be0d94193ceaff4122bf1ae47b9da849193691b2f4b1"),
+    "lax_rk3": (
+        RunConfig(problem="lax", degree=2, n_cells=40, t_final=0.05),
+        "6d41a83935f13b0de5da8ad54db3b43bfd9de049d9ac23886e8b62e9b5f29dfd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINAL_FIELD_SHA256))
+def test_final_fields_keep_their_bits(name):
+    config, digest = FINAL_FIELD_SHA256[name]
+    coeffs = run(config).result.final.coeffs
+    assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest

@@ -372,6 +372,13 @@ class TestCli:
         cfgfile.write_text("problem=lax\nwidgets=3\n")
         assert cli_main(["solve", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("entry", ["degree=two", "cfl=abc"])
+    def test_config_file_bad_number_exits_2_at_once(self, entry, tmp_path):
+        # each used to end in a ValueError traceback with exit 1
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"problem=lax\n{entry}\n")
+        assert_exits_2_at_once(["solve", "--config", str(cfgfile)], tmp_path)
+
     def test_custom_riemann_zero_pressure_exits_2(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
