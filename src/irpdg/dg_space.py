@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .euler_core import ConservedState, physical_flux
+from .euler_core import ConservedState, gas_pressure, physical_flux
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
@@ -65,7 +65,7 @@ class QuadratureRule(NamedTuple):
     weights: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gauss_legendre_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule, exact through degree 2n-1."""
     if n < 1:
@@ -74,7 +74,7 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     return QuadratureRule(_frozen(x / 2.0), _frozen(w / 2.0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gauss_lobatto_rule(N: int) -> QuadratureRule:
     """N-point Gauss-Lobatto rule (endpoints included), exact through 2N-3."""
     if N < 2:
@@ -253,7 +253,7 @@ def global_max_signal_speed(fld: DGField, gamma: float,
     if np.any(bad):
         cell = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValueError(f"nonpositive density at test node of cell {cell}")
-    p = (gamma - 1.0) * (E - 0.5 * m * m / rho)
+    p = gas_pressure(rho, m, E, gamma)
     bad = p < 0.0
     if np.any(bad):
         cell = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -269,11 +269,7 @@ def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray, gamma: float,
     place where that saves a temporary.
     """
     u = m / rho
-    p = np.square(m)  # m**2
-    p *= 0.5
-    p /= rho
-    np.subtract(E, p, out=p)
-    p *= gamma - 1.0
+    p = gas_pressure(rho, m, E, gamma)
     out[0] = m
     np.multiply(m, u, out=out[1])
     out[1] += p
@@ -282,7 +278,7 @@ def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray, gamma: float,
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _operator_tables(degree: int):
     """Volume rule and the tables, shaped to broadcast in ``spatial_operator``.
 

@@ -48,13 +48,39 @@ class InvariantRegion:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
+def gas_pressure(rho, m: np.ndarray, E, gamma: float) -> np.ndarray:
+    """Ideal-gas pressure (gamma-1)*(E - (0.5*m)*m/rho), unchecked.
+
+    ``m`` has the shape of the result (0-d for a scalar), and rho and E
+    broadcast to it.  p is computed in place in one new array.  (0.5*m)*m
+    overflows above |m| = 1.9e154, 0.5*(m*m) already above 1.3e154.
+    """
+    p = np.asarray(0.5 * m)
+    p *= m
+    p /= rho
+    np.subtract(E, p, p)
+    p *= gamma - 1.0
+    return p
+
+
+def gas_entropy(rho, p, gamma: float):
+    """Specific entropy s = log(p / rho^gamma), unchecked: needs rho, p > 0."""
+    return np.log(p) - gamma * np.log(rho)
+
+
+def gas_state(rho, m, E, region: InvariantRegion):
+    """Unchecked (p, s, q), q = (s0 - s) * rho; s and q need rho, p > 0."""
+    p = gas_pressure(rho, m, E, region.gamma)
+    s = gas_entropy(rho, p, region.gamma)
+    return p, s, (region.s0 - s) * rho
+
+
 def pressure(w: ConservedState, gamma: float):
     """Ideal-gas pressure (gamma-1)*(E - m^2/(2 rho))."""
-    rho = np.asarray(w.rho, dtype=float)
+    rho, m, E = np.broadcast_arrays(np.asarray(w.rho, dtype=float), w.m, w.E)
     if np.any(rho == 0.0):
         raise ZeroDivisionError("pressure undefined at zero density")
-    p = (gamma - 1.0) * (np.asarray(w.E, dtype=float)
-                         - 0.5 * np.asarray(w.m, dtype=float) ** 2 / rho)
+    p = gas_pressure(rho, m, E, gamma)
     return float(p) if p.ndim == 0 else p
 
 
@@ -83,7 +109,7 @@ def specific_entropy(w: ConservedState, gamma: float):
     p = np.asarray(pressure(w, gamma))
     if np.any(p <= 0.0):
         raise ValueError("specific_entropy requires positive pressure")
-    s = np.log(p) - gamma * np.log(rho)
+    s = gas_entropy(rho, p, gamma)
     return float(s) if s.ndim == 0 else s
 
 
@@ -93,41 +119,34 @@ def q_functional(w: ConservedState, region: InvariantRegion):
     q <= 0 exactly when s >= s0.  Undefined (raises) outside the positive
     cone; callers must verify rho and p admissibility first.
     """
-    q = (region.s0 - np.asarray(specific_entropy(w, region.gamma))) \
-        * np.asarray(w.rho, dtype=float)
-    return float(q) if q.ndim == 0 else q
+    specific_entropy(w, region.gamma)  # raises outside the positive cone
+    rho, m, E = np.broadcast_arrays(np.asarray(w.rho, dtype=float), w.m, w.E)
+    q = gas_state(rho, m, E, region)[2]
+    return float(q) if np.ndim(q) == 0 else q
 
 
 def _region_mask(w: ConservedState, region: InvariantRegion, strict: bool):
-    rho = np.atleast_1d(np.asarray(w.rho, dtype=float))
-    m = np.atleast_1d(np.asarray(w.m, dtype=float))
-    E = np.atleast_1d(np.asarray(w.E, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
-    if strict:
-        ok = (rho > region.eps) & (p > region.eps)
-    else:
-        ok = (rho >= region.eps) & (p >= region.eps)
-    # q is evaluated only where density and pressure already pass (it is
+    rho, m, E = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in w))
+    # q counts only where density and pressure already pass (it is
     # undefined outside the positive cone).
-    idx = np.nonzero(ok)
-    if idx[0].size:
-        s = np.log(p[idx]) - region.gamma * np.log(rho[idx])
-        q = (region.s0 - s) * rho[idx]
-        ok[idx] &= (q < 0.0) if strict else (q <= 0.0)
-    return ok
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, _, q = gas_state(rho, m, E, region)
+    if strict:
+        ok = (rho > region.eps) & (p > region.eps) & (q < 0.0)
+    else:
+        ok = (rho >= region.eps) & (p >= region.eps) & (q <= 0.0)
+    return bool(ok[0]) if np.ndim(w.rho) == 0 else ok.reshape(np.shape(w.rho))
 
 
 def in_region(w: ConservedState, region: InvariantRegion):
     """Membership in the closed admissible set {rho>=eps, p>=eps, q<=0}."""
-    ok = _region_mask(w, region, strict=False)
-    return bool(ok[0]) if np.ndim(w.rho) == 0 else ok.reshape(np.shape(w.rho))
+    return _region_mask(w, region, strict=False)
 
 
 def in_region_interior(w: ConservedState, region: InvariantRegion):
     """Strict membership {rho>eps, p>eps, q<0}."""
-    ok = _region_mask(w, region, strict=True)
-    return bool(ok[0]) if np.ndim(w.rho) == 0 else ok.reshape(np.shape(w.rho))
+    return _region_mask(w, region, strict=True)
 
 
 def physical_flux(w: ConservedState, gamma: float) -> np.ndarray:
@@ -170,4 +189,4 @@ def entropy_floor_from_initial(rho0: Callable, p0: Callable,
     p = np.asarray(p0(xs), dtype=float)
     if np.any(r <= 0.0) or np.any(p <= 0.0):
         raise ValueError("initial data must have positive density and pressure")
-    return float(np.min(np.log(p) - gamma * np.log(r)))
+    return float(np.min(gas_entropy(r, p, gamma)))

@@ -19,7 +19,7 @@ from .dg_space import DGField, INFLOW_OUTFLOW, Mesh1D, OUTFLOW, PERIODIC, \
     evaluate_at_nodes, evaluate_at_x, gauss_legendre_rule, \
     gauss_lobatto_rule, l2_project, test_set_size
 from .euler_core import ConservedState, InvariantRegion, PrimitiveState, \
-    entropy_floor_from_initial, to_conserved
+    entropy_floor_from_initial, gas_state, to_conserved, to_primitive
 from .irp_limiter import LIMITER_IRP, LIMITER_KINDS
 from .riemann_exact import RiemannProblem, sample_conserved_at, star_of
 from .time_integration import EvolveOptions, EvolveResult, MS3, PER_STAGE, \
@@ -161,20 +161,15 @@ def preset(problem: str, gamma: float = 1.4,
             return 1.0 + 0.5 * np.sin(2.0 * np.pi * np.asarray(x, dtype=float))
 
         def w0(x):
-            r = rho0(x)
-            return np.stack([r, r, 0.5 * r + 1.0 / (gamma - 1.0)
-                             * np.ones_like(r)])
+            return np.stack(to_conserved(PrimitiveState(rho0(x), 1.0, 1.0),
+                                         gamma))
 
         return Preset(name=problem, domain=(0.0, 1.0), boundary=PERIODIC,
                       default_t_final=1.0, rho0=rho0, p0=_const(1.0), w0=w0,
                       reference="exact_smooth")
     if problem == LAX:
-        wl = (0.445, 0.311, 8.928)
-        wr = (0.5, 0.0, 1.4275)
-        pl = PrimitiveState(wl[0], wl[1] / wl[0],
-                            (gamma - 1.0) * (wl[2] - 0.5 * wl[1]**2 / wl[0]))
-        pr = PrimitiveState(wr[0], wr[1] / wr[0],
-                            (gamma - 1.0) * (wr[2] - 0.5 * wr[1]**2 / wr[0]))
+        pl = to_primitive(ConservedState(0.445, 0.311, 8.928), gamma)
+        pr = to_primitive(ConservedState(0.5, 0.0, 1.4275), gamma)
         return _riemann_preset(problem, pl, pr, gamma, 0.0, (-2.0, 2.0), 0.5)
     if problem == SHU_OSHER:
         pl = PrimitiveState(3.857143, 2.629369, 10.3333)
@@ -192,8 +187,8 @@ def preset(problem: str, gamma: float = 1.4,
             return np.where(x < -4.0, pl.u, 0.0)
 
         def w0(x):
-            r, u, p = rho0(x), u0(x), p0(x)
-            return np.stack([r, r * u, 0.5 * r * u**2 + p / (gamma - 1.0)])
+            return np.stack(to_conserved(PrimitiveState(rho0(x), u0(x), p0(x)),
+                                         gamma))
 
         # The left state is a supersonic inflow, so the left ghost carries
         # the upstream data; plain extrapolation there drifts unstably.
@@ -398,15 +393,12 @@ def emit_solution_csv(out: RunOutput, path: str,
         nodes = np.linspace(-0.5, 0.5, points_per_cell)
     xs = out.mesh.physical_points(nodes)  # (n_cells, n)
     vals = evaluate_at_nodes(fld, nodes)  # (n_cells, 3, n)
-    gamma = out.region.gamma
     rho, m, E = vals[:, 0], vals[:, 1], vals[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = m / rho
-        p = (gamma - 1.0) * (E - 0.5 * m * u)
-        s = np.where((rho > 0.0) & (p > 0.0),
-                     np.log(np.abs(p)) - gamma * np.log(np.abs(rho)),
-                     np.nan)
-    q = (out.region.s0 - s) * rho
+        p, s, q = gas_state(rho, m, E, out.region)
+    cone = (rho > 0.0) & (p > 0.0)
+    s, q = np.where(cone, s, np.nan), np.where(cone, q, np.nan)
     theta = out.result.theta_last
     path = resolve_output_path(path)
     with open(path, "w", encoding="utf-8") as fh:

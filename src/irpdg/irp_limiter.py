@@ -16,7 +16,7 @@ import numpy as np
 
 from .dg_space import DGField, Mesh1D, QuadratureRule, basis_table, \
     gauss_lobatto_rule, test_set_size
-from .euler_core import ConservedState, InvariantRegion
+from .euler_core import ConservedState, InvariantRegion, gas_state
 
 LIMITER_NONE = "none"
 LIMITER_POSITIVITY = "positivity"
@@ -89,14 +89,8 @@ def _node_states(coeffs: np.ndarray, region: InvariantRegion,
     """
     rho, m, E = np.ascontiguousarray(np.einsum("cvj,nj->vcn", coeffs, V))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
-        q = _entropy_functional(rho, p, region)
+        p, _, q = gas_state(rho, m, E, region)
     return rho, p, q
-
-
-def _entropy_functional(rho, p, region: InvariantRegion):
-    """q = (s0 - s) * rho with s = log(p / rho^gamma); needs rho > 0, p > 0."""
-    return (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
 
 
 def _node_min(a: np.ndarray) -> np.ndarray:
@@ -110,16 +104,6 @@ def _node_min(a: np.ndarray) -> np.ndarray:
 
 def _node_max(a: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, a.T)
-
-
-def _report_nodes(rho, p, q):
-    """(p, q) of a node pass as the report counts them.
-
-    A non-finite pressure counts as -inf, and q outside the positive cone
-    (rho > 0 and p finite and > 0) as +inf.
-    """
-    p = np.where(np.isfinite(p), p, -np.inf)
-    return p, np.where((rho > 0.0) & (p > 0.0), q, np.inf)
 
 
 def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
@@ -139,22 +123,23 @@ def default_rule(degree: int) -> QuadratureRule:
 
 def _check_interior(avg: ConservedState, region: InvariantRegion,
                     need_q: bool, cell: int | None) -> None:
-    """Strict interior membership of the average, raising on violation."""
+    """Membership of the average, raising on violation: rho and p strictly
+    above eps, and q <= Q_SLACK as at the nodes, since the region is closed
+    and round-off leaves isentropic averages at q = 0 up to a few 1e-14."""
     rho, m, E = avg
     where = "" if cell is None else f" (cell {cell})"
     if not rho > region.eps:
         raise RegionViolationError(
             f"average density {rho} not above eps{where}", cell=cell)
-    p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, _, q = gas_state(rho, m, E, region)
     if not p > region.eps:
         raise RegionViolationError(
             f"average pressure {p} not above eps{where}", cell=cell)
-    if need_q:
-        q = _entropy_functional(rho, p, region)
-        if not q < 0.0:
-            raise RegionViolationError(
-                f"average entropy functional q={q} not negative{where}",
-                cell=cell)
+    if need_q and not q <= Q_SLACK:
+        raise RegionViolationError(
+            f"average entropy functional q={q} not negative{where}",
+            cell=cell)
 
 
 def _ratio(num, den):
@@ -174,7 +159,9 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     q <= Q_SLACK; cell averages are bitwise unchanged.
 
     The combined rescaling theta = min(1, theta_i over violated constraints)
-    is exact when all node states lie in the positive cone.  Nodes outside
+    lies in [0, 1] and is exact when all node states lie in the positive
+    cone; an average on the entropy boundary (0 <= q <= Q_SLACK) gets
+    theta3 = 0, which flattens the cell to its mean.  Nodes outside
     it (negative density or pressure) make the downstream quantities
     meaningless, so those constraints are deferred: up to three formula
     rounds walk the definedness chain rho -> p -> q, each applying the exact
@@ -198,7 +185,10 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     n = fld.n_cells
     V = basis_table(fld.degree, default_rule(fld.degree).nodes)
     rho_n, p_n, q_n = _node_states(fld.coeffs, region, V)
-    p_n, q_n = _report_nodes(rho_n, p_n, q_n)
+    # the report counts a non-finite p as -inf, and q outside the positive
+    # cone (rho > 0 and p finite and > 0) as +inf
+    p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
+    q_n = np.where((rho_n > 0.0) & (p_n > 0.0), q_n, np.inf)
     rho_min, p_min, q_max = _node_min(rho_n), _node_min(p_n), _node_max(q_n)
 
     theta = np.ones(n)
@@ -233,11 +223,10 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     coeffs = out.coeffs
     rho_avg, m_avg, E_avg = np.ascontiguousarray(coeffs[live, :, 0].T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_avg = (region.gamma - 1.0) * (E_avg - 0.5 * m_avg**2 / rho_avg)
-        inside = (rho_avg > eps) & (p_avg > eps)  # ``_check_interior`` passes
-        if use_q:
-            q_avg = _entropy_functional(rho_avg, p_avg, region)
-            inside &= q_avg < 0.0
+        p_avg, _, q_avg = gas_state(rho_avg, m_avg, E_avg, region)
+    inside = (rho_avg > eps) & (p_avg > eps)  # ``_check_interior`` passes
+    if use_q:
+        inside &= q_avg <= Q_SLACK
     touched = np.zeros(live.size, dtype=bool)
     admissible = np.zeros(live.size, dtype=bool)  # as of the last pass
     sel = np.arange(live.size)  # positions in ``live`` of this round's cells
@@ -272,8 +261,8 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             i = sel[a2]
             t2[a2] = _ratio(p_avg[i] - eps, p_avg[i] - ext[1][a2])
         if a3.any():
-            i = sel[a3]
-            t3[a3] = _ratio(-q_avg[i], ext[2][a3] - q_avg[i])
+            q = q_avg[sel[a3]]  # theta3 = 0 where the average has q >= 0
+            t3[a3] = np.where(q < 0.0, _ratio(-q, ext[2][a3] - q), 0.0)
         step = np.minimum(1.0, np.minimum(t1, np.minimum(t2, t3)))[active]
         c = live[act]
         coeffs[c, :, 1:] *= step[:, None, None]
@@ -283,7 +272,8 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             if a.any():
                 c = live[sel[a]]
                 old = th[c]
-                th[c] = np.where(np.isfinite(old), old * t[a], t[a])
+                th[c] = np.multiply(old, t[a], out=t[a],
+                                    where=np.isfinite(old))
         if round_idx:  # round 1 passes over every live cell, as round 0 did
             sel = act
     else:

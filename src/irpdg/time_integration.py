@@ -16,7 +16,7 @@ import numpy as np
 
 from .dg_space import DGField, Mesh1D, gauss_lobatto_rule, \
     global_max_signal_speed, spatial_operator, test_set_size
-from .euler_core import InvariantRegion
+from .euler_core import InvariantRegion, gas_entropy, gas_pressure
 from .irp_limiter import LIMITER_IRP, LIMITER_NONE, RegionViolationError, \
     limit_field
 
@@ -129,11 +129,11 @@ def _entropy_of_averages(fld: DGField, region: InvariantRegion) -> float:
     avg = fld.averages()
     rho, m, E = avg[:, 0], avg[:, 1], avg[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+        p = gas_pressure(rho, m, E, region.gamma)
     ok = (rho > 0.0) & (p > 0.0)
     if not ok.any():
         return float("nan")
-    return float(np.min(np.log(p[ok]) - region.gamma * np.log(rho[ok])))
+    return float(np.min(gas_entropy(rho[ok], p[ok], region.gamma)))
 
 
 def _diagnostics(step: int, t: float, dt: float, fld: DGField,

@@ -21,7 +21,8 @@ from irpdg.dg_space import INFLOW_OUTFLOW, OUTFLOW, PERIODIC, DGField, \
 from irpdg.dg_space import _einsum_order_sum, _operator_tables, _values_at, \
     basis_table
 from irpdg.euler_core import ConservedState, InvariantRegion, \
-    PrimitiveState, physical_flux, sound_speed, to_conserved
+    PrimitiveState, gas_entropy, gas_pressure, gas_state, in_region, \
+    in_region_interior, physical_flux, sound_speed, to_conserved
 from irpdg.harness import RunConfig, run
 from irpdg.irp_limiter import LIMITER_IRP, LIMITER_KINDS, \
     LIMITER_POSITIVITY, Q_SLACK, RegionViolationError, _check_interior, \
@@ -542,3 +543,111 @@ def test_final_fields_keep_their_bits(name):
     config, digest = FINAL_FIELD_SHA256[name]
     coeffs = run(config).result.final.coeffs
     assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+
+
+# The ideal-gas closure is written once, in ``euler_core``.  The tests below
+# pin it to the formulas it replaced, over the inputs where floating point
+# is least forgiving: nan, +-inf, +-0, 1e300, subnormals, negative density
+# and pressure, and |m| in (1.3e154, 1.9e154), where 0.5*(m*m) overflows
+# while (0.5*m)*m does not.  The kernel takes (0.5*m)*m.
+
+CLOSURE_VALUES = np.array([
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300, 5e-324, -2.5e-310,
+    1.0, -2.5, 0.3, 1e-13,
+    1.35e154, -1.5e154, 1.89e154,  # m*m overflows, (0.5*m)*m does not
+    6.732655185893089e-161, 2.5e-162,  # m*m is subnormal: the orders differ
+])
+
+
+def closure_inputs():
+    """Every (rho, m, E) triple of CLOSURE_VALUES, plus random states."""
+    grid = np.meshgrid(CLOSURE_VALUES, CLOSURE_VALUES, CLOSURE_VALUES,
+                       indexing="ij")
+    rng = np.random.default_rng(21)
+    rand = (rng.uniform(-0.5, 3.0, 2000), spread_values(rng, 2000),
+            spread_values(rng, 2000))
+    return tuple(np.concatenate([g.ravel(), r]) for g, r in zip(grid, rand))
+
+
+def oracle_pressure(rho, m, E, gamma):
+    return (gamma - 1.0) * (E - 0.5 * m * m / rho)
+
+
+def oracle_q(rho, p, region):
+    return (region.s0 - (np.log(p) - region.gamma * np.log(rho))) * rho
+
+
+def oracle_region_mask(w, region, strict):
+    """``_region_mask``'s arithmetic as it was: q only where rho, p pass."""
+    rho, m, E = (np.atleast_1d(np.asarray(v, dtype=float)) for v in w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (region.gamma - 1.0) * (E - 0.5 * m * m / rho)
+    if strict:
+        ok = (rho > region.eps) & (p > region.eps)
+    else:
+        ok = (rho >= region.eps) & (p >= region.eps)
+    idx = np.nonzero(ok)
+    if idx[0].size:
+        s = np.log(p[idx]) - region.gamma * np.log(rho[idx])
+        q = (region.s0 - s) * rho[idx]
+        ok[idx] &= (q < 0.0) if strict else (q <= 0.0)
+    return bool(ok[0]) if np.ndim(w.rho) == 0 else ok.reshape(np.shape(w.rho))
+
+
+@pytest.mark.parametrize("gamma", (GAMMA, 5.0 / 3.0, 1.0 + 1e-9))
+def test_closure_keeps_the_bits_of_the_formulas_it_replaced(gamma):
+    rho, m, E = closure_inputs()
+    region = InvariantRegion(gamma, s0=-0.7)
+    with np.errstate(all="ignore"):
+        expected_p = oracle_pressure(rho, m, E, gamma)
+        p, s, q = gas_state(rho, m, E, region)
+        assert same_bits(p, expected_p)
+        assert same_bits(gas_pressure(rho, m, E, gamma), expected_p)
+        assert same_bits(s, np.log(expected_p) - gamma * np.log(rho))
+        assert same_bits(gas_entropy(rho, expected_p, gamma), s)
+        assert same_bits(q, oracle_q(rho, expected_p, region))
+        # scalars give 0-d results with the same bits
+        for i in range(0, rho.size, 97):
+            got = gas_state(rho[i], m[i], E[i], region)
+            assert all(np.ndim(v) == 0 for v in got)
+            assert same_bits(np.array(got), np.array([p[i], s[i], q[i]]))
+
+
+def test_closure_takes_half_the_momentum_before_squaring():
+    # 0.5*(m*m), the order of the former ``m**2`` sites (``pressure``,
+    # ``limit_field``'s average pressure, ``dg_space._euler_flux``), differs
+    # from (0.5*m)*m in the overflow band and where m*m is subnormal
+    m = np.array([1.35e154, -1.5e154, 1.89e154, 6.732655185893089e-161,
+                  2.5e-162])
+    rho, E = np.ones(m.size), np.full(m.size, 1.7e308)
+    p = gas_pressure(rho, m, E, GAMMA)
+    assert same_bits(p, (GAMMA - 1.0) * (E - (0.5 * m) * m / rho))
+    with np.errstate(over="ignore"):
+        other = (GAMMA - 1.0) * (E - 0.5 * (m * m) / rho)
+    assert np.isfinite(p[:3]).all() and np.isneginf(other[:3]).all()
+    # gamma = 2 makes the factor gamma - 1 exact, so p = -m^2/2 shows the
+    # subnormal rounding
+    half_square = -gas_pressure(rho[3:], m[3:], 0.0, 2.0)
+    assert same_bits(half_square, (0.5 * m[3:]) * m[3:])
+    assert (half_square != 0.5 * (m[3:] * m[3:])).all()
+
+
+@pytest.mark.parametrize("s0", (-1.0, 0.0, 2.0))
+def test_region_membership_keeps_its_bits(s0):
+    rho, m, E = closure_inputs()
+    region = InvariantRegion(GAMMA, s0=s0)
+    w = ConservedState(rho, m, E)
+    for strict, member in ((False, in_region), (True, in_region_interior)):
+        with np.errstate(all="ignore"):
+            got = member(w, region)
+            expected = oracle_region_mask(w, region, strict)
+        assert got.dtype == bool and np.array_equal(got, expected)
+        assert got.any() and not got.all()
+        square = ConservedState(*(v[:4900].reshape(70, 70) for v in w))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(member(square, region),
+                                  oracle_region_mask(square, region, strict))
+            for i in range(0, rho.size, 131):
+                one = ConservedState(rho[i], m[i], E[i])
+                assert member(one, region) is \
+                    oracle_region_mask(one, region, strict)

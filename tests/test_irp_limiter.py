@@ -177,11 +177,24 @@ class TestCellRatios:
             limit_one(fld)
 
     def test_average_on_entropy_boundary_raises_when_q_violated(self):
-        # average (1, 0, 2.5) has q = 0 exactly against s0 = 0; the lower
-        # energy node has p < 1, so q > 0 there
-        fld = single_cell_field(1, [1.0], [0.0], [2.5, -0.1])
-        with pytest.raises(RegionViolationError):
-            limit_one(fld, InvariantRegion(GAMMA, s0=0.0))
+        # The region is closed: an average with 0 <= q <= Q_SLACK passes,
+        # and a node with q > Q_SLACK gets theta3 = 0, which flattens the
+        # cell to the average.  Against s0 = 0, the average (1, 0, 1) has
+        # q = 0 exactly at gamma = 2, and (1, 0, 2.5) has q = 2.2e-16 at
+        # gamma = 1.4 (where gamma - 1 rounds down); the lower energy node
+        # has a lower pressure, so q > 0 there.
+        for gamma, E in ((2.0, 1.0), (GAMMA, 2.5)):
+            fld = single_cell_field(1, [1.0], [0.0], [E, -0.1])
+            coeffs, rep = limit_one(fld, InvariantRegion(gamma, s0=0.0))
+            for theta in (rep.theta[0], rep.theta3[0]):
+                assert theta == 0.0 and not np.signbit(theta)
+            np.testing.assert_array_equal(coeffs[0, :, 0], fld.coeffs[0, :, 0])
+            np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
+        # the same average against s0 = 1e-6 has q = 1e-6, far above
+        # Q_SLACK, and still raises
+        with pytest.raises(RegionViolationError,
+                           match=r"q=1\.0+\d*e-06 not negative \(cell 0\)"):
+            limit_one(fld, InvariantRegion(GAMMA, s0=1e-6))
 
     def test_theta_in_unit_interval(self):
         rng = np.random.default_rng(23)
