@@ -25,9 +25,6 @@ from .time_integration import MS3, PER_STAGE, PER_STEP, RK3
 _SOLVER_KEYS = ("problem", "degree", "cells", "limiter", "integrator", "cfl",
                 "tfinal", "gamma", "eps", "placement", "out", "left", "right",
                 "x0", "domain")
-_DEFAULTS = {"degree": "2", "cells": "100", "limiter": "irp",
-             "integrator": "rk3", "gamma": "1.4", "eps": "1e-13",
-             "placement": "per_stage"}
 
 
 def _parse_floats(text: str, count: int) -> tuple[float, ...]:
@@ -82,20 +79,17 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The flags over the config file; unset keys keep RunConfig's defaults."""
     fromfile = read_config_file(args.config) if args.config else {}
 
     def pick(key: str) -> str | None:
         cli = getattr(args, key, None)
-        if cli is not None:
-            return str(cli)
-        if key in fromfile:
-            return fromfile[key]
-        return _DEFAULTS.get(key)
+        return fromfile.get(key) if cli is None else str(cli)
 
-    def number(key: str, kind=float, default=None):
+    def number(key: str, kind=float):
         text = pick(key)
         if text is None:
-            return default
+            return None
         try:
             return kind(text)
         except ValueError as err:
@@ -107,8 +101,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     left = pick("left")
     right = pick("right")
     domain = pick("domain")
-    cfg = RunConfig(
-        problem=problem,
+    given = dict(
         degree=number("degree", int),
         n_cells=number("cells", int),
         limiter=pick("limiter"),
@@ -121,8 +114,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         limiter_placement=pick("placement"),
         left=None if left is None else PrimitiveState(*_parse_floats(left, 3)),
         right=None if right is None else PrimitiveState(*_parse_floats(right, 3)),
-        x0=number("x0", default=0.0),
+        x0=number("x0"),
         domain=None if domain is None else _parse_floats(domain, 2))
+    cfg = RunConfig(problem=problem,
+                    **{k: v for k, v in given.items() if v is not None})
     cfg.validate()
     return cfg
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .euler_core import ConservedState, gas_pressure, physical_flux
+from .euler_core import ConservedState, gas_pressure
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
@@ -114,12 +114,14 @@ def basis_table(degree: int, xi_nodes) -> np.ndarray:
     """``basis_values`` at a 1D node set, cached and read-only; (n, degree+1).
 
     The table keeps the memory layout ``basis_values`` gives it, which is not
-    C-contiguous: einsum rounds differently over a contiguous copy, and the
-    limiter's einsum over this table must round as over a fresh one.  Its
-    mode axis is strided, so that einsum sums the modes left to right from
-    +0; ``global_max_signal_speed`` takes its node values with the same sum
-    (``_values_at``), which equals ``einsum("cvj,nj->cvn")`` over this table
-    bit for bit on numpy 2.4, checked through degree 6.
+    C-contiguous: einsum rounds differently over a contiguous copy, and
+    ``evaluate_at_nodes``' einsum over this table must round as over a fresh
+    one.  Its mode axis is strided, so that einsum sums the modes left to
+    right from +0; the limiter and ``global_max_signal_speed`` take their
+    node values with the same sum (``_values_at``), which equals
+    ``einsum("cvj,nj->cvn")`` over a table of two or more nodes bit for bit
+    on numpy 2.4, checked through degree 6.  Over a one-node table einsum
+    sums otherwise, and the two differ in the last bits from degree 2 on.
     """
     nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
     return _basis_table(degree, nodes.tobytes())
@@ -172,21 +174,6 @@ class DGField:
         return self.coeffs[:, :, 0]
 
 
-def cell_average(fld: DGField, cell: int) -> ConservedState:
-    if not 0 <= cell < fld.n_cells:
-        raise IndexError(f"cell {cell} out of range")
-    return ConservedState(*fld.coeffs[cell, :, 0])
-
-
-def evaluate(fld: DGField, cell: int, xi) -> ConservedState:
-    """Evaluate the modal expansion of one cell at reference point(s) xi."""
-    if not 0 <= cell < fld.n_cells:
-        raise IndexError(f"cell {cell} out of range")
-    V = basis_values(fld.degree, xi)
-    vals = fld.coeffs[cell] @ np.moveaxis(V, -1, 0)
-    return ConservedState(vals[0], vals[1], vals[2])
-
-
 def evaluate_at_nodes(fld: DGField, xi_nodes) -> np.ndarray:
     """Values of every cell polynomial at shared reference nodes; (n_cells, 3, n)."""
     V = basis_table(fld.degree, xi_nodes)
@@ -224,25 +211,17 @@ def l2_project(w0: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D,
     return DGField(degree, coeffs)
 
 
-def lax_friedrichs_flux(wL: ConservedState, wR: ConservedState,
-                        alpha: float, gamma: float) -> np.ndarray:
-    """Central flux plus alpha-weighted dissipation; alpha must bound both signal speeds."""
-    FL = physical_flux(wL, gamma)
-    FR = physical_flux(wR, gamma)
-    jump = np.stack([np.asarray(wR[i], dtype=float) - np.asarray(wL[i], dtype=float)
-                     for i in range(3)])
-    return 0.5 * (FL + FR) - 0.5 * alpha * jump
-
-
 def _values_at(coeffs: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cell polynomials at a basis table's nodes; (3, n_nodes, n_cells).
 
     One broadcast multiply over the mode-major view ``coeffs.T`` and a sum
     over the modes left to right from +0, einsum's order over ``V``'s
-    strided mode axis (see ``basis_table``).  Each variable is one
-    contiguous block.
+    strided mode axis (see ``basis_table``).  The sum comes out with the
+    variable axis fastest; the C-order copy makes each variable one
+    contiguous block, which the elementwise passes after it run faster on.
     """
-    return np.add.reduce(coeffs.T[:, :, None, :] * V.T[:, None, :, None])
+    return np.ascontiguousarray(
+        np.add.reduce(coeffs.T[:, :, None, :] * V.T[:, None, :, None]))
 
 
 def global_max_signal_speed(fld: DGField, gamma: float,
@@ -263,10 +242,9 @@ def global_max_signal_speed(fld: DGField, gamma: float,
 
 def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray, gamma: float,
                 out: np.ndarray) -> np.ndarray:
-    """``physical_flux`` arithmetic into ``out`` for states with nonzero density.
+    """Euler flux (m, m*u + p, (E + p)*u), u = m/rho, into ``out``; rho != 0.
 
-    The same operations in the same order as ``physical_flux``, done in
-    place where that saves a temporary.
+    Done in place where that saves a temporary.
     """
     u = m / rho
     p = gas_pressure(rho, m, E, gamma)
@@ -377,7 +355,7 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
     else:  # outflow: ghost states copy the interior trace
         w[:, 0, 0] = left_edge[:, 0]
         w[:, 1, -1] = right_edge[:, -1]
-    # lax_friedrichs_flux's arithmetic, without its per-call checks
+    # Lax-Friedrichs: central flux plus alpha-weighted dissipation
     fluxes = 0.5 * (w[3:, 0] + w[3:, 1]) \
         - 0.5 * alpha * (w[:3, 1] - w[:3, 0])  # (3, n_cells+1)
     del w  # a smaller peak footprint: freed before the volume term

@@ -1,8 +1,11 @@
 """State algebra and thermodynamics for the 1D compressible Euler equations.
 
 Conserved variables are (rho, m, E) = (density, momentum, total energy),
-closed by the ideal-gas law.  All functions accept floats or numpy arrays
-componentwise and take the adiabatic exponent ``gamma`` explicitly.
+closed by the ideal-gas law.  ``gas_pressure``, ``gas_entropy`` and
+``gas_state`` are the only code that writes the closure; they work on
+floats or numpy arrays componentwise and check nothing, so every caller
+decides what a non-positive density or pressure means.  The adiabatic
+exponent ``gamma`` is always passed explicitly.
 """
 
 from __future__ import annotations
@@ -75,54 +78,15 @@ def gas_state(rho, m, E, region: InvariantRegion):
     return p, s, (region.s0 - s) * rho
 
 
-def pressure(w: ConservedState, gamma: float):
-    """Ideal-gas pressure (gamma-1)*(E - m^2/(2 rho))."""
-    rho, m, E = np.broadcast_arrays(np.asarray(w.rho, dtype=float), w.m, w.E)
-    if np.any(rho == 0.0):
-        raise ZeroDivisionError("pressure undefined at zero density")
-    p = gas_pressure(rho, m, E, gamma)
-    return float(p) if p.ndim == 0 else p
-
-
-def velocity(w: ConservedState):
-    rho = np.asarray(w.rho, dtype=float)
-    if np.any(rho == 0.0):
-        raise ZeroDivisionError("velocity undefined at zero density")
-    u = np.asarray(w.m, dtype=float) / rho
-    return float(u) if u.ndim == 0 else u
-
-
 def to_primitive(w: ConservedState, gamma: float) -> PrimitiveState:
-    return PrimitiveState(w.rho, velocity(w), pressure(w, gamma))
+    """(rho, u, p) of one state with nonzero density."""
+    rho, m, E = (float(v) for v in w)
+    return PrimitiveState(rho, m / rho, float(gas_pressure(rho, m, E, gamma)))
 
 
 def to_conserved(prim: PrimitiveState, gamma: float) -> ConservedState:
     rho, u, p = prim
     return ConservedState(rho, rho * u, 0.5 * rho * u**2 + p / (gamma - 1.0))
-
-
-def specific_entropy(w: ConservedState, gamma: float):
-    """Specific entropy s = log(p / rho^gamma); requires rho > 0 and p > 0."""
-    rho = np.asarray(w.rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("specific_entropy requires positive density")
-    p = np.asarray(pressure(w, gamma))
-    if np.any(p <= 0.0):
-        raise ValueError("specific_entropy requires positive pressure")
-    s = gas_entropy(rho, p, gamma)
-    return float(s) if s.ndim == 0 else s
-
-
-def q_functional(w: ConservedState, region: InvariantRegion):
-    """Entropy constraint functional q = (s0 - s) * rho.
-
-    q <= 0 exactly when s >= s0.  Undefined (raises) outside the positive
-    cone; callers must verify rho and p admissibility first.
-    """
-    specific_entropy(w, region.gamma)  # raises outside the positive cone
-    rho, m, E = np.broadcast_arrays(np.asarray(w.rho, dtype=float), w.m, w.E)
-    q = gas_state(rho, m, E, region)[2]
-    return float(q) if np.ndim(q) == 0 else q
 
 
 def _region_mask(w: ConservedState, region: InvariantRegion, strict: bool):
@@ -147,32 +111,6 @@ def in_region(w: ConservedState, region: InvariantRegion):
 def in_region_interior(w: ConservedState, region: InvariantRegion):
     """Strict membership {rho>eps, p>eps, q<0}."""
     return _region_mask(w, region, strict=True)
-
-
-def physical_flux(w: ConservedState, gamma: float) -> np.ndarray:
-    """Euler flux F(w) = (m, rho u^2 + p, (E + p) u)."""
-    u = np.asarray(velocity(w))
-    p = np.asarray(pressure(w, gamma))
-    m, u, p, E = np.broadcast_arrays(np.asarray(w.m, dtype=float), u, p,
-                                     np.asarray(w.E, dtype=float))
-    return np.stack([m, m * u + p, (E + p) * u])
-
-
-def sound_speed(rho, p, gamma: float):
-    rho = np.asarray(rho, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("sound speed requires positive density")
-    if np.any(p < 0.0):
-        raise ValueError("sound speed requires nonnegative pressure")
-    c = np.sqrt(gamma * p / rho)
-    return float(c) if c.ndim == 0 else c
-
-
-def max_signal_speed(w: ConservedState, gamma: float):
-    """Largest characteristic speed |u| + c of a state."""
-    spd = np.abs(velocity(w)) + sound_speed(w.rho, pressure(w, gamma), gamma)
-    return float(spd) if np.ndim(spd) == 0 else spd
 
 
 def entropy_floor_from_initial(rho0: Callable, p0: Callable,

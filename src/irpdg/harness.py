@@ -278,20 +278,13 @@ def fine_grid_reference(fine: RunOutput, coarse_mesh: Mesh1D):
 def error_norms(fld: DGField, mesh: Mesh1D, reference) -> tuple[float, float]:
     """(Linf, L1) error of the density component at Gauss-Legendre nodes.
 
-    ``reference`` is a callable mapping x values to exact densities, or a
-    (mesh, field) pair for fine-grid references.
+    ``reference`` maps x values to reference densities: an exact profile
+    (``density_reference``) or a fine-grid field (``fine_grid_reference``).
     """
-    if isinstance(reference, tuple):
-        ref_mesh, ref_field = reference
-        if (ref_mesh.a, ref_mesh.b) != (mesh.a, mesh.b):
-            raise ValueError("reference mesh covers a different domain")
-        ref = lambda x: evaluate_at_x(ref_field, ref_mesh, x)[0]
-    else:
-        ref = reference
     rule = gauss_legendre_rule(fld.degree + 1)
     xs = mesh.physical_points(rule.nodes)
     num = evaluate_at_nodes(fld, rule.nodes)[:, 0, :]
-    diff = np.abs(num - np.asarray(ref(xs.ravel())).reshape(xs.shape))
+    diff = np.abs(num - np.asarray(reference(xs.ravel())).reshape(xs.shape))
     linf = float(diff.max())
     l1 = float(mesh.h * np.einsum("cq,q->", diff, rule.weights))
     return linf, l1

@@ -14,9 +14,9 @@ from functools import reduce
 
 import numpy as np
 
-from .dg_space import DGField, Mesh1D, QuadratureRule, basis_table, \
-    gauss_lobatto_rule, test_set_size
-from .euler_core import ConservedState, InvariantRegion, gas_state
+from .dg_space import DGField, Mesh1D, QuadratureRule, _values_at, \
+    basis_table, gauss_lobatto_rule, test_set_size
+from .euler_core import InvariantRegion, gas_state
 
 LIMITER_NONE = "none"
 LIMITER_POSITIVITY = "positivity"
@@ -79,31 +79,31 @@ class FieldLimiterReport:
 
 def _node_states(coeffs: np.ndarray, region: InvariantRegion,
                  V: np.ndarray):
-    """(rho, p, q) at the test nodes of each cell, each (n_cells, n_nodes).
+    """(rho, p, q) at the test nodes of each cell, each (n_nodes, n_cells).
 
     p comes straight from the formula and may be nan or inf.  q is the
     entropy functional, meaningful only where rho > 0 and p > 0; each
-    caller masks the other nodes as its use requires.  The einsum result is
-    laid out cell by cell; the contiguous copy lets the elementwise passes
-    run over whole blocks.
+    caller masks the other nodes as its use requires.  The node values come
+    from the wave speed's kernel (``_values_at``), one contiguous block per
+    variable.
     """
-    rho, m, E = np.ascontiguousarray(np.einsum("cvj,nj->vcn", coeffs, V))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho, m, E = _values_at(coeffs, V)
         p, _, q = gas_state(rho, m, E, region)
     return rho, p, q
 
 
 def _node_min(a: np.ndarray) -> np.ndarray:
-    """Per-cell minimum over the node columns of a (n_cells, n_nodes) array.
+    """Per-cell minimum over the node rows of a (n_nodes, n_cells) array.
 
-    Equals ``a.min(axis=1)`` bit for bit (nan propagates alike); a handful of
-    whole-column ufunc calls beat a reduction over rows of 2-4 nodes.
+    Equals ``a.min(axis=0)`` bit for bit (nan propagates alike); a handful of
+    whole-row ufunc calls beat a reduction over columns of 2-4 nodes.
     """
-    return reduce(np.minimum, a.T)
+    return reduce(np.minimum, a)
 
 
 def _node_max(a: np.ndarray) -> np.ndarray:
-    return reduce(np.maximum, a.T)
+    return reduce(np.maximum, a)
 
 
 def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
@@ -113,7 +113,7 @@ def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
     ok = (rho >= eps) & (p >= eps) & (p < np.inf)
     if use_q:
         ok &= q <= Q_SLACK
-    return reduce(np.logical_and, ok.T)
+    return reduce(np.logical_and, ok)
 
 
 def default_rule(degree: int) -> QuadratureRule:
@@ -121,33 +121,13 @@ def default_rule(degree: int) -> QuadratureRule:
     return gauss_lobatto_rule(test_set_size(degree))
 
 
-def _check_interior(avg: ConservedState, region: InvariantRegion,
-                    need_q: bool, cell: int | None) -> None:
-    """Membership of the average, raising on violation: rho and p strictly
-    above eps, and q <= Q_SLACK as at the nodes, since the region is closed
-    and round-off leaves isentropic averages at q = 0 up to a few 1e-14."""
-    rho, m, E = avg
-    where = "" if cell is None else f" (cell {cell})"
-    if not rho > region.eps:
-        raise RegionViolationError(
-            f"average density {rho} not above eps{where}", cell=cell)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p, _, q = gas_state(rho, m, E, region)
-    if not p > region.eps:
-        raise RegionViolationError(
-            f"average pressure {p} not above eps{where}", cell=cell)
-    if need_q and not q <= Q_SLACK:
-        raise RegionViolationError(
-            f"average entropy functional q={q} not negative{where}",
-            cell=cell)
-
-
 def _ratio(num, den):
     # A denominator below the guard means the cell is essentially constant
     # while still violating, i.e. pressed against the region boundary;
-    # flatten it completely rather than dividing by noise.
-    return np.where(den < _DENOM_GUARD, 0.0,
-                    num / np.maximum(den, _DENOM_GUARD))
+    # flatten it completely rather than dividing by noise.  A nan or
+    # infinite one (a node that is nan or infinite) flattens it too.
+    ok = (den >= _DENOM_GUARD) & (den < np.inf)
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
 def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
@@ -156,7 +136,9 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     The input field is not modified.  After limiting, every Gauss-Lobatto
     test node satisfies rho >= eps, p >= eps and (for the irp kind)
-    q <= Q_SLACK; cell averages are bitwise unchanged.
+    q <= Q_SLACK; cell averages are bitwise unchanged.  A nan node density
+    counts as a violation, and a nan or infinite node extremum gives its
+    constraint theta 0.
 
     The combined rescaling theta = min(1, theta_i over violated constraints)
     lies in [0, 1] and is exact when all node states lie in the positive
@@ -207,7 +189,7 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     # +inf where round 0 drops it.  The report's extrema bound both.
     use_q = kind == LIMITER_IRP
     eps = region.eps
-    in_play = (rho_min < eps) | (p_min < eps)
+    in_play = ~(rho_min >= eps) | (p_min < eps)  # a nan density violates
     if use_q:
         in_play |= q_max > Q_SLACK
     live = np.flatnonzero(in_play)
@@ -216,7 +198,7 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     # Round 0 reuses the report's nodes: p over the nodes with rho > 0 and
     # the finite values of q.
-    rho_n, p_n, q_n = rho_n[live], p_n[live], q_n[live]
+    rho_n, p_n, q_n = rho_n[:, live], p_n[:, live], q_n[:, live]
     ext = (rho_min[live], _node_min(np.where(rho_n > 0.0, p_n, np.inf)),
            _node_max(np.where(np.isfinite(q_n), q_n, -np.inf)))
 
@@ -224,7 +206,10 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     rho_avg, m_avg, E_avg = np.ascontiguousarray(coeffs[live, :, 0].T)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_avg, _, q_avg = gas_state(rho_avg, m_avg, E_avg, region)
-    inside = (rho_avg > eps) & (p_avg > eps)  # ``_check_interior`` passes
+    # The average test: rho and p strictly above eps, and q <= Q_SLACK as
+    # at the nodes, since the region is closed and round-off leaves
+    # isentropic averages at q = 0 up to a few 1e-14.
+    inside = (rho_avg > eps) & (p_avg > eps)
     if use_q:
         inside &= q_avg <= Q_SLACK
     touched = np.zeros(live.size, dtype=bool)
@@ -239,18 +224,25 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             rho_pos = rho_n > 0.0
             ext = (_node_min(rho_n), _node_min(np.where(rho_pos, p_n, np.inf)),
                    _node_max(np.where(rho_pos & (p_n > 0.0), q_n, -np.inf)))
-        a1 = ext[0] < eps
+        a1 = ~(ext[0] >= eps)
         a2 = ext[1] < eps
         a3 = (ext[2] > Q_SLACK) if use_q else np.zeros(sel.size, dtype=bool)
         active = a1 | a2 | a3
         if not active.any():
             break
         # Averages never change, so a cell that passed once passes again;
-        # the scalar check raises on the first failing cell with its message.
+        # the first active cell whose average fails raises.
         act = sel[active]
-        for i in act[~inside[act]]:
-            c = int(live[i])
-            _check_interior(ConservedState(*coeffs[c, :, 0]), region, use_q, c)
+        bad = act[~inside[act]]
+        if bad.size:
+            i, c = bad[0], int(live[bad[0]])
+            if not rho_avg[i] > eps:
+                what = f"density {rho_avg[i]} not above eps"
+            elif not p_avg[i] > eps:
+                what = f"pressure {p_avg[i]} not above eps"
+            else:
+                what = f"entropy functional q={q_avg[i]} not negative"
+            raise RegionViolationError(f"average {what} (cell {c})", cell=c)
         t1 = np.full(sel.size, np.inf)
         t2 = np.full(sel.size, np.inf)
         t3 = np.full(sel.size, np.inf)

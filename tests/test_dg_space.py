@@ -9,20 +9,16 @@ from irpdg.dg_space import (
     Mesh1D,
     OUTFLOW,
     basis_values,
-    cell_average,
-    evaluate,
     evaluate_at_nodes,
     evaluate_at_x,
     gauss_legendre_rule,
     gauss_lobatto_rule,
     global_max_signal_speed,
     l2_project,
-    lax_friedrichs_flux,
     spatial_operator,
 )
 from irpdg.dg_space import test_set_size as lobatto_point_count
-from irpdg.euler_core import ConservedState, PrimitiveState, physical_flux, \
-    to_conserved
+from irpdg.euler_core import ConservedState, PrimitiveState, to_conserved
 
 GAMMA = 1.4
 
@@ -164,7 +160,7 @@ class TestProjection:
         for i in range(8):
             exact = 1.0 - (np.cos(2 * np.pi * edges[i + 1])
                            - np.cos(2 * np.pi * edges[i])) / (4 * np.pi * mesh.h)
-            assert cell_average(fld, i).rho == pytest.approx(exact, abs=1e-13)
+            assert fld.averages()[i, 0] == pytest.approx(exact, abs=1e-13)
 
     def test_default_quadrature_close(self):
         mesh = Mesh1D(0.0, 1.0, 8)
@@ -172,7 +168,7 @@ class TestProjection:
         edges = mesh.edges()
         exact = 1.0 - (np.cos(2 * np.pi * edges[4]) -
                        np.cos(2 * np.pi * edges[3])) / (4 * np.pi * mesh.h)
-        assert cell_average(fld, 3).rho == pytest.approx(exact, abs=1e-6)
+        assert fld.averages()[3, 0] == pytest.approx(exact, abs=1e-6)
 
     def test_idempotent_on_dg_space(self):
         mesh = Mesh1D(0.0, 1.0, 6)
@@ -192,8 +188,7 @@ class TestAveragesAndEvaluation:
         coeffs[0, :, 0] = [1.0, 0.5, 2.5]
         coeffs[0, 0, 1] = 0.7  # pure degree-1 content in rho
         fld = DGField(2, coeffs)
-        w = cell_average(fld, 0)
-        assert (w.rho, w.m, w.E) == (1.0, 0.5, 2.5)
+        assert fld.averages()[0].tolist() == [1.0, 0.5, 2.5]
 
     def test_average_matches_quadrature(self):
         mesh = Mesh1D(0.0, 1.0, 8)
@@ -203,59 +198,21 @@ class TestAveragesAndEvaluation:
         quad_avg = np.einsum("cvn,n->cv", vals, rule.weights)
         np.testing.assert_allclose(quad_avg, fld.averages(), atol=1e-14)
 
-    def test_index_errors(self):
-        fld = DGField(1, np.zeros((2, 3, 2)))
-        with pytest.raises(IndexError):
-            cell_average(fld, 2)
-        with pytest.raises(IndexError):
-            evaluate(fld, -1, 0.0)
-
     def test_linear_cell_endpoints(self):
         coeffs = np.zeros((1, 3, 2))
         coeffs[0, :, 0] = [1.0, 1.0, 1.0]
         coeffs[0, 0, 1] = 1.0 / (2.0 * np.sqrt(3.0))  # rho(xi) = 1 + xi
         fld = DGField(1, coeffs)
-        assert evaluate(fld, 0, -0.5).rho == pytest.approx(0.5, rel=1e-14)
-        assert evaluate(fld, 0, 0.5).rho == pytest.approx(1.5, rel=1e-14)
+        rho = evaluate_at_nodes(fld, [-0.5, 0.5])[0, 0]
+        np.testing.assert_allclose(rho, [0.5, 1.5], rtol=1e-14)
 
     def test_trace_equals_lobatto_endpoint_value(self):
         mesh = Mesh1D(0.0, 1.0, 4)
         fld = l2_project(smooth_advection_w0, mesh, 2)
         rule = gauss_lobatto_rule(lobatto_point_count(2))
         nodes_vals = evaluate_at_nodes(fld, rule.nodes)
-        w = evaluate(fld, 2, 0.5)
-        assert w.rho == pytest.approx(nodes_vals[2, 0, -1], rel=1e-15)
-
-
-class TestLaxFriedrichsFlux:
-    def test_consistency(self):
-        w = to_conserved(PrimitiveState(1.2, 0.3, 2.0), GAMMA)
-        np.testing.assert_allclose(lax_friedrichs_flux(w, w, 3.0, GAMMA),
-                                   physical_flux(w, GAMMA), rtol=1e-14)
-
-    def test_zero_alpha_is_mean(self):
-        wl = to_conserved(PrimitiveState(1.0, 0.5, 1.0), GAMMA)
-        wr = to_conserved(PrimitiveState(0.5, -0.2, 0.8), GAMMA)
-        expected = 0.5 * (physical_flux(wl, GAMMA) + physical_flux(wr, GAMMA))
-        np.testing.assert_allclose(lax_friedrichs_flux(wl, wr, 0.0, GAMMA),
-                                   expected, rtol=1e-14)
-
-    def test_lax_states_hand_value(self):
-        wl = ConservedState(0.445, 0.311, 8.928)
-        wr = ConservedState(0.5, 0.0, 1.4275)
-        alpha = 4.0303139
-        fl = physical_flux(wl, GAMMA)
-        fr = physical_flux(wr, GAMMA)
-        expected = 0.5 * (fl + fr) - 0.5 * alpha * (np.array(wr) - np.array(wl))
-        np.testing.assert_allclose(lax_friedrichs_flux(wl, wr, alpha, GAMMA),
-                                   expected, rtol=1e-14)
-
-    def test_mirror_symmetry(self):
-        wl = to_conserved(PrimitiveState(1.0, 0.5, 1.0), GAMMA)
-        wr = to_conserved(PrimitiveState(0.5, -0.2, 0.8), GAMMA)
-        np.testing.assert_allclose(lax_friedrichs_flux(wr, wl, -2.0, GAMMA),
-                                   lax_friedrichs_flux(wl, wr, 2.0, GAMMA),
-                                   rtol=1e-14)
+        trace = fld.coeffs[2, 0] @ basis_values(2, 0.5)
+        assert trace == pytest.approx(nodes_vals[2, 0, -1], rel=1e-15)
 
 
 class TestSpatialOperator:
@@ -325,6 +282,14 @@ class TestSpatialOperator:
             spatial_operator(DGField(1, np.ones((5, 3, 2))), mesh, GAMMA, 1.0)
 
 
+def one_state_speed(w):
+    """global_max_signal_speed of a one-cell field holding the state w."""
+    coeffs = np.zeros((1, 3, 2))
+    coeffs[0, :, 0] = w
+    return global_max_signal_speed(DGField(1, coeffs), GAMMA,
+                                   gauss_lobatto_rule(2))
+
+
 class TestGlobalMaxSpeed:
     def test_constant_field_value(self):
         mesh = Mesh1D(0.0, 1.0, 3)
@@ -334,6 +299,23 @@ class TestGlobalMaxSpeed:
         rule = gauss_lobatto_rule(2)
         speed = global_max_signal_speed(DGField(1, coeffs), GAMMA, rule)
         assert speed == pytest.approx(np.sqrt(1.4), rel=1e-14)
+
+    def test_cold_gas_moves_at_its_velocity(self):
+        w = to_conserved(PrimitiveState(1.0, 1.0, 0.0), GAMMA)
+        assert one_state_speed(w) == pytest.approx(1.0, rel=1e-14)
+
+    def test_lax_left_state_hand_value(self):
+        w = ConservedState(0.445, 0.311, 8.928)
+        p = 0.4 * (8.928 - 0.5 * 0.311**2 / 0.445)
+        expected = 0.311 / 0.445 + np.sqrt(GAMMA * p / 0.445)
+        assert one_state_speed(w) == pytest.approx(expected, rel=1e-14)
+        assert expected == pytest.approx(4.0303, abs=1e-3)
+
+    def test_speed_invariant_under_state_scaling(self):
+        w = to_conserved(PrimitiveState(1.3, 0.7, 2.1), GAMMA)
+        w2 = ConservedState(2 * w.rho, 2 * w.m, 2 * w.E)  # doubles rho and p
+        assert one_state_speed(w2) == pytest.approx(one_state_speed(w),
+                                                    rel=1e-14)
 
     def test_negative_pressure_reports_cell(self):
         coeffs = np.zeros((2, 3, 1))

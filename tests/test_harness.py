@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from irpdg.cli import main as cli_main
+from irpdg.cli import _build_config, build_parser, main as cli_main
 from irpdg.dg_space import DGField, Mesh1D, l2_project, spatial_operator
 from irpdg.euler_core import PrimitiveState
 from irpdg.harness import (
@@ -137,11 +137,6 @@ class TestErrorNorms:
         linf, l1 = error_norms(self.fld, self.mesh, ref)
         assert linf == pytest.approx(delta, rel=1e-12)
         assert l1 == pytest.approx(delta, rel=1e-12)
-
-    def test_fine_grid_pair_domain_mismatch(self):
-        other = Mesh1D(0.0, 2.0, 16)
-        with pytest.raises(ValueError, match="domain"):
-            error_norms(self.fld, self.mesh, (other, self.fld))
 
 
 class TestConvergenceStudy:
@@ -288,6 +283,10 @@ class TestCli:
 
     def test_missing_problem_exits_2(self):
         assert cli_main(["solve"]) == 2
+
+    def test_unset_flags_keep_the_run_config_defaults(self):
+        args = build_parser().parse_args(["solve", "--problem", "lax"])
+        assert _build_config(args) == RunConfig(problem="lax")
 
     @pytest.mark.parametrize("flags", [
         ["--cfl", "0"], ["--cfl", "-0.5"], ["--cfl", "nan"],

@@ -196,6 +196,32 @@ class TestCellRatios:
                            match=r"q=1\.0+\d*e-06 not negative \(cell 0\)"):
             limit_one(fld, InvariantRegion(GAMMA, s0=1e-6))
 
+    def test_nan_node_density_is_a_violation(self):
+        # the modes overflow at the right Lobatto node, whose density is
+        # then inf - inf = nan; theta 0 flattens the cell to its average
+        fld = single_cell_field(2, [1.0, 1.5e308, -1e308], [0.0], [2.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(node_states(fld, REGION).rho).any()
+        for kind in (LIMITER_POSITIVITY, LIMITER_IRP):
+            coeffs, rep = limit_one(fld, kind=kind)
+            assert rep.theta[0] == rep.theta1[0] == 0.0
+            np.testing.assert_array_equal(coeffs[0, :, 0],
+                                          fld.coeffs[0, :, 0])
+            np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_node_density_never_passes_unlimited(self):
+        # an infinite density slope has P2 nodes (-inf, nan, +inf): theta 0
+        # cannot scale inf away (inf * 0 = nan), so the limiter gives up;
+        # a nan average density fails the average test
+        slope = single_cell_field(2, [1.0, np.inf], [0.0], [2.5])
+        with pytest.raises(RegionViolationError, match="fallback exhausted"):
+            limit_one(slope)
+        nan_average = single_cell_field(1, [np.nan], [0.0], [2.5])
+        with pytest.raises(RegionViolationError,
+                           match=r"density nan not above eps \(cell 0\)"):
+            limit_one(nan_average)
+
     def test_theta_in_unit_interval(self):
         rng = np.random.default_rng(23)
         fld = random_cells(rng, 500, 2, overshoot=1.0)

@@ -1,8 +1,12 @@
-"""Structure the package keeps: one ideal-gas closure and bounded caches."""
+"""Structure the package keeps: one ideal-gas closure, one node kernel,
+bounded caches and a public namespace of what the README imports."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+import types
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +35,20 @@ def test_every_lru_cache_is_bounded():
                     obj.cache_parameters()["maxsize"]
     assert "irpdg.dg_space._operator_tables" in caches
     assert [name for name, size in caches.items() if size is None] == []
+
+
+def test_the_limiter_takes_node_values_from_the_wave_speeds_kernel():
+    source = inspect.getsource(importlib.import_module("irpdg.irp_limiter"))
+    assert "einsum" not in source and "_values_at" in source
+
+
+def test_the_public_namespace_is_what_the_readme_imports():
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text("utf-8")
+    names = re.search(r"^from irpdg import (.+)$", readme, re.M).group(1)
+    public = {name for name, obj in vars(irpdg).items()
+              if not name.startswith("_")
+              and not isinstance(obj, types.ModuleType)}
+    assert public == {n.strip() for n in names.split(",")}
+    pyproject = (root / "pyproject.toml").read_text("utf-8")
+    assert f'version = "{irpdg.__version__}"' in pyproject
