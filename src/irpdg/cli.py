@@ -2,7 +2,8 @@
 
 Flags mirror a flat ``key=value`` config file (``--config``); explicit flags
 override file entries.  Exit codes: 0 success, 2 configuration error,
-3 solver abort (admissible-region violation or failed iteration).
+3 solver abort (admissible-region violation, a state the wave speed or the
+operator cannot take, or failed iteration).
 """
 
 from __future__ import annotations
@@ -234,7 +235,11 @@ def main(argv=None) -> int:
     except (ConfigError, VacuumError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (RegionViolationError, RiemannSolverError) as err:
+    # after ConfigError and VacuumError, a ValueError is the wave speed's or
+    # the time step's, and a ZeroDivisionError the operator's: a node
+    # density or pressure the run reached, not one it was given
+    except (RegionViolationError, RiemannSolverError, ValueError,
+            ZeroDivisionError) as err:
         detail = ""
         if isinstance(err, RegionViolationError):
             detail = f" (step {err.step}, cell {err.cell})"

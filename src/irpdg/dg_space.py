@@ -224,20 +224,29 @@ def _values_at(coeffs: np.ndarray, V: np.ndarray) -> np.ndarray:
         np.add.reduce(coeffs.T[:, :, None, :] * V.T[:, None, :, None]))
 
 
+def _max_speed(rho: np.ndarray, m: np.ndarray, p: np.ndarray,
+               gamma: float) -> float:
+    """Max of |u| + c, |m/rho| + sqrt(gamma p / rho), over node values.
+
+    Unchecked: the caller has made sure that rho > 0 and p >= 0.
+    """
+    return float((np.abs(m / rho) + np.sqrt(gamma * p / rho)).max())
+
+
 def global_max_signal_speed(fld: DGField, gamma: float,
                             rule: QuadratureRule) -> float:
     """Max of |u| + c over all cells at the given reference nodes."""
     rho, m, E = _values_at(fld.coeffs, basis_table(fld.degree, rule.nodes))
     bad = rho <= 0.0
-    if np.any(bad):
+    if bad.any():
         cell = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValueError(f"nonpositive density at test node of cell {cell}")
     p = gas_pressure(rho, m, E, gamma)
     bad = p < 0.0
-    if np.any(bad):
+    if bad.any():
         cell = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValueError(f"negative pressure at test node of cell {cell}")
-    return float(np.max(np.abs(m / rho) + np.sqrt(gamma * p / rho)))
+    return _max_speed(rho, m, p, gamma)
 
 
 def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray, gamma: float,
@@ -331,12 +340,12 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
     nodes = np.empty((6, nq + 2, n))
     rho = _einsum_order_sum(fld.coeffs.T[:, :, None, :], at_nodes, 2,
                             out=nodes[:3], tmp=nodes[3:])[0]
-    if np.any(rho[:nq] == 0.0):
+    zero = not rho.all()  # some node density is exactly 0
+    if zero and np.any(rho[:nq] == 0.0):
         cell = int(np.flatnonzero((rho[:nq] == 0.0).any(axis=0))[0])
         raise ZeroDivisionError(
             f"zero density at volume node of cell {cell}; limiter should have prevented this")
-    if np.any(rho[nq:] == 0.0) or \
-            (mesh.boundary == INFLOW_OUTFLOW and inflow_left[0] == 0.0):
+    if zero or (mesh.boundary == INFLOW_OUTFLOW and inflow_left[0] == 0.0):
         raise ZeroDivisionError("zero density at a cell interface trace")
     _euler_flux(*nodes[:3], gamma, out=nodes[3:])
 

@@ -323,7 +323,7 @@ def convergence_study(config: RunConfig,
                       cfl_fraction=base_cfl * (cell_counts[0] / n) ** cfl_exponent)
         try:
             out = run(cfg)
-        except (RuntimeError, ValueError) as err:
+        except (RuntimeError, ValueError, ZeroDivisionError) as err:
             rows.append(ConvergenceRow(n, float("nan"), None, float("nan"),
                                        None, note=f"failed: {err}"))
             prev_errors = None

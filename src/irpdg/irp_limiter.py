@@ -14,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .dg_space import DGField, Mesh1D, QuadratureRule, _values_at, \
-    basis_table, gauss_lobatto_rule, test_set_size
+from .dg_space import DGField, Mesh1D, QuadratureRule, _max_speed, \
+    _values_at, basis_table, gauss_lobatto_rule, test_set_size
 from .euler_core import InvariantRegion, gas_state
 
 LIMITER_NONE = "none"
@@ -44,7 +44,13 @@ class RegionViolationError(RuntimeError):
 
 @dataclass
 class FieldLimiterReport:
-    """Vectorized limiter diagnostics for a whole field."""
+    """Vectorized limiter diagnostics for a whole field.
+
+    ``max_speed`` is the limited field's max |u| + c over the test nodes,
+    bit for bit what ``global_max_signal_speed`` returns for it over the
+    same nodes.  It is set only when the positivity or irp kind found no
+    cell in play, and so returned the field unchanged; otherwise it is None.
+    """
 
     theta: np.ndarray
     theta1: np.ndarray
@@ -55,6 +61,7 @@ class FieldLimiterReport:
     q_max: np.ndarray
     activated: np.ndarray
     fallback_count: int = 0
+    max_speed: float | None = None
 
     @property
     def n_activated(self) -> int:
@@ -79,7 +86,7 @@ class FieldLimiterReport:
 
 def _node_states(coeffs: np.ndarray, region: InvariantRegion,
                  V: np.ndarray):
-    """(rho, p, q) at the test nodes of each cell, each (n_nodes, n_cells).
+    """(rho, m, p, q) at the test nodes of each cell, each (n_nodes, n_cells).
 
     p comes straight from the formula and may be nan or inf.  q is the
     entropy functional, meaningful only where rho > 0 and p > 0; each
@@ -90,7 +97,7 @@ def _node_states(coeffs: np.ndarray, region: InvariantRegion,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho, m, E = _values_at(coeffs, V)
         p, _, q = gas_state(rho, m, E, region)
-    return rho, p, q
+    return rho, m, p, q
 
 
 def _node_min(a: np.ndarray) -> np.ndarray:
@@ -138,7 +145,8 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     test node satisfies rho >= eps, p >= eps and (for the irp kind)
     q <= Q_SLACK; cell averages are bitwise unchanged.  A nan node density
     counts as a violation, and a nan or infinite node extremum gives its
-    constraint theta 0.
+    constraint theta 0; a cell rescaled by 0 keeps none of its non-finite
+    modes.
 
     The combined rescaling theta = min(1, theta_i over violated constraints)
     lies in [0, 1] and is exact when all node states lie in the positive
@@ -153,9 +161,11 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
 
     Each round evaluates the node states once, and only for the cells in
     play.  One pass over every cell gives the report and round 0; when no
-    cell violates a constraint, the field is returned right after it.  The
-    thermodynamics of the cell averages are computed once, for the cells
-    in play.  Round 1 re-evaluates the cells that round 0 rescaled (and any
+    cell violates a constraint, the field is returned right after it, and
+    the same node values give the report's ``max_speed``, the wave speed
+    that the next time step of the returned field needs.  No node array
+    outlives the call.  The thermodynamics of the cell averages are
+    computed once, for the cells in play.  Round 1 re-evaluates the cells that round 0 rescaled (and any
     whose node entropy overflowed, which only round 0 skips); round 2 those
     that round 1 rescaled.  Each of these passes also takes the fallback's
     admissibility test for the cells it saw, so the fallback reads it from
@@ -166,7 +176,7 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         raise ValueError(f"unknown limiter kind {kind!r}")
     n = fld.n_cells
     V = basis_table(fld.degree, default_rule(fld.degree).nodes)
-    rho_n, p_n, q_n = _node_states(fld.coeffs, region, V)
+    rho_n, m_n, p_n, q_n = _node_states(fld.coeffs, region, V)
     # the report counts a non-finite p as -inf, and q outside the positive
     # cone (rho > 0 and p finite and > 0) as +inf
     p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
@@ -174,9 +184,7 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     rho_min, p_min, q_max = _node_min(rho_n), _node_min(p_n), _node_max(q_n)
 
     theta = np.ones(n)
-    theta1 = np.full(n, np.inf)
-    theta2 = np.full(n, np.inf)
-    theta3 = np.full(n, np.inf)
+    theta1, theta2, theta3 = np.full((3, n), np.inf)
     out = fld.copy()
     report = FieldLimiterReport(theta, theta1, theta2, theta3,
                                 rho_min=rho_min, p_min=p_min, q_max=q_max,
@@ -194,6 +202,8 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         in_play |= q_max > Q_SLACK
     live = np.flatnonzero(in_play)
     if not live.size:
+        # every node has rho >= eps and a finite p >= eps
+        report.max_speed = _max_speed(rho_n, m_n, p_n, region.gamma)
         return out, report
 
     # Round 0 reuses the report's nodes: p over the nodes with rho > 0 and
@@ -219,7 +229,7 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         if round_idx:
             # extrema over the nodes where each quantity is meaningful (see
             # the docstring)
-            rho_n, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
+            rho_n, _, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
             admissible[sel] = _admissible(rho_n, p_n, q_n, eps, use_q)
             rho_pos = rho_n > 0.0
             ext = (_node_min(rho_n), _node_min(np.where(rho_pos, p_n, np.inf)),
@@ -243,9 +253,7 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             else:
                 what = f"entropy functional q={q_avg[i]} not negative"
             raise RegionViolationError(f"average {what} (cell {c})", cell=c)
-        t1 = np.full(sel.size, np.inf)
-        t2 = np.full(sel.size, np.inf)
-        t3 = np.full(sel.size, np.inf)
+        t1, t2, t3 = np.full((3, sel.size), np.inf)
         if a1.any():
             i = sel[a1]
             t1[a1] = _ratio(rho_avg[i] - eps, rho_avg[i] - ext[0][a1])
@@ -257,6 +265,13 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             t3[a3] = np.where(q < 0.0, _ratio(-q, ext[2][a3] - q), 0.0)
         step = np.minimum(1.0, np.minimum(t1, np.minimum(t2, t3)))[active]
         c = live[act]
+        flat = c[step == 0.0]
+        if flat.size:
+            # inf * 0 is nan: a cell flattened to its mean drops the
+            # non-finite modes (+0); the finite ones keep their signed zeros
+            modes = coeffs[flat, :, 1:]
+            modes[~np.isfinite(modes)] = 0.0
+            coeffs[flat, :, 1:] = modes
         coeffs[c, :, 1:] *= step[:, None, None]
         theta[c] *= step
         touched[act] = True
@@ -270,8 +285,8 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             sel = act
     else:
         # round 2 rescaled these cells after their last pass
-        admissible[sel] = _admissible(
-            *_node_states(coeffs[live[sel]], region, V), eps, use_q)
+        rho_n, _, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
+        admissible[sel] = _admissible(rho_n, p_n, q_n, eps, use_q)
     report.activated = theta < 1.0
 
     # Safety net: round-off can leave a node a few ulp outside after the
@@ -289,6 +304,6 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         report.activated[pending] = True
         report.fallback_count += int(pending.size)
         rounds += 1
-        pending = pending[~_admissible(
-            *_node_states(coeffs[pending], region, V), eps, use_q)]
+        rho_n, _, p_n, q_n = _node_states(coeffs[pending], region, V)
+        pending = pending[~_admissible(rho_n, p_n, q_n, eps, use_q)]
     return out, report

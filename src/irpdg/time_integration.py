@@ -4,7 +4,9 @@ Two third-order integrators share one step loop: the three-stage SSP
 Runge-Kutta scheme with an adaptive step, and the two-term SSP multistep
 scheme, which requires a constant step and is bootstrapped by three RK3
 steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
-first Gauss-Lobatto weight of the active test set.
+first Gauss-Lobatto weight of the active test set, the set the limiter
+checks: where a limit leaves its field unchanged, the limiter's node values
+give that wave speed.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ def _entropy_of_averages(fld: DGField, region: InvariantRegion) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         p = gas_pressure(rho, m, E, region.gamma)
     ok = (rho > 0.0) & (p > 0.0)
+    if ok.all():
+        return float(gas_entropy(rho, p, region.gamma).min())
     if not ok.any():
         return float("nan")
     return float(np.min(gas_entropy(rho[ok], p[ok], region.gamma)))
@@ -168,9 +172,13 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     The incoming field (normally a fresh L2 projection) is limited once
     before stepping.  RK3 takes each dt from the wave speed that also gives
     the step's flux alpha.  MS3 freezes one dt that lands on t_final, from
-    the wave speed that is also its first step's alpha, keeps the
+    the wave speed that is also its first step's alpha.  MS3 keeps the
     (coefficients, residual) pairs of its last four steps and takes RK3
-    steps until it has four.  A RegionViolationError raised by the limiter
+    steps until it has four.  A step takes the wave speed of its field
+    from the limiter report that returned the field (the initial limit's,
+    or the last of the step before); ``global_max_signal_speed`` evaluates
+    it only where that report has none: after a limit that changed a cell,
+    or with no limiter.  A RegionViolationError raised by the limiter
     aborts the run with the failing step index attached (0 for that first
     limit).
     """
@@ -197,11 +205,12 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         theta_last = rep0.theta
         diagnostics = [_diagnostics(0, 0.0, 0.0, fld, mesh, region,
                                     [rep0] if stage_limit else [])]
-        speed = None  # the wave speed of fld, where already evaluated
+        speed = rep0.max_speed  # the wave speed of fld, where already known
         if multistep and opts.t_final > 0.0:
             # Constant dt for the whole run, frozen from the initial signal
             # speed and chosen to land exactly on t_final.
-            speed = global_max_signal_speed(fld, gamma, rule)
+            if speed is None:
+                speed = global_max_signal_speed(fld, gamma, rule)
             dt_raw = _dt_for_speed(speed, mesh.h, cfl, w_hat_1)
             n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
             dt = opts.t_final / n_steps
@@ -209,7 +218,6 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             # one wave-speed evaluation gives the flux's alpha and RK3's step
             alpha = global_max_signal_speed(fld, gamma, rule) \
                 if speed is None else speed
-            speed = None
             if not multistep:
                 dt = _dt_for_speed(alpha, mesh.h, cfl, w_hat_1, t, opts.t_final)
             elif (dt / mesh.h) * alpha > 0.5 * w_hat_1 * (1.0 + 1e-12):
@@ -239,8 +247,10 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                                             per_stage, rhs0=residual)
             step += 1
             t = step * dt if multistep else t + dt
+            speed = None
             if reports:
                 theta_last = reports[-1].theta
+                speed = reports[-1].max_speed
             diagnostics.append(_diagnostics(step, t, dt, fld, mesh, region,
                                             reports))
     except RegionViolationError as err:

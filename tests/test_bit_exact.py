@@ -365,16 +365,38 @@ def test_global_max_signal_speed_bit_exact(degree):
             oracle_max_signal_speed(fld, GAMMA, rule)
 
 
-def test_rk3_evaluates_the_wave_speed_once_per_step(monkeypatch):
-    calls = []
+def count_wave_speeds(monkeypatch, config):
+    """Run ``config``; (fresh wave-speed evaluations, speeds the limiter
+    supplied to a step, steps).
+
+    A step's speed is the one its incoming field's limit reported: the last
+    report ``_diagnostics`` saw for the step before (or for the initial
+    limit).  The last step's report feeds no step.
+    """
+    fresh, supplied = [], []
 
     def counted(*args):
-        calls.append(1)
+        fresh.append(1)
         return global_max_signal_speed(*args)
 
+    def recorded(*args):
+        reports = args[-1]
+        supplied.append(reports[-1].max_speed if reports else None)
+        return diagnostics(*args)
+
+    diagnostics = ti._diagnostics
     monkeypatch.setattr(ti, "global_max_signal_speed", counted)
-    out = run(RunConfig(problem="lax", degree=2, n_cells=40, t_final=0.05))
-    assert len(calls) == out.result.diagnostics[-1].step > 0
+    monkeypatch.setattr(ti, "_diagnostics", recorded)
+    steps = run(config).result.diagnostics[-1].step
+    used = supplied[:-1]
+    return len(fresh), len(used) - used.count(None), steps
+
+
+def test_rk3_evaluates_the_wave_speed_once_per_step(monkeypatch):
+    fresh, supplied, steps = count_wave_speeds(
+        monkeypatch, RunConfig(problem="lax", degree=2, n_cells=40,
+                               t_final=0.05))
+    assert fresh + supplied == steps > 0 and fresh > 0
 
 
 @pytest.mark.parametrize("config", (
@@ -544,18 +566,13 @@ def test_spatial_operator_zero_density_errors_as_before(boundary):
 
 
 def test_ms3_evaluates_the_wave_speed_once_per_step(monkeypatch):
-    # the speed that freezes dt is also the first step's alpha
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return global_max_signal_speed(*args)
-
-    monkeypatch.setattr(ti, "global_max_signal_speed", counted)
-    out = run(RunConfig(problem="smooth_advection", degree=3, n_cells=16,
-                        integrator="ms3", limiter_placement="per_step",
-                        t_final=0.02))
-    assert len(calls) == out.result.diagnostics[-1].step > 3
+    # the speed that freezes dt is also the first step's alpha; on this
+    # smooth field the limiter never has a cell in play and supplies all
+    fresh, supplied, steps = count_wave_speeds(
+        monkeypatch, RunConfig(problem="smooth_advection", degree=3,
+                               n_cells=16, integrator="ms3",
+                               limiter_placement="per_step", t_final=0.02))
+    assert fresh + supplied == steps > 3 and fresh == 0
 
 
 # SHA-256 of ``final.coeffs`` as the einsum-based operator left them (numpy
@@ -581,6 +598,55 @@ def test_final_fields_keep_their_bits(name):
     config, digest = FINAL_FIELD_SHA256[name]
     coeffs = run(config).result.final.coeffs
     assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+
+
+# The pinned runs, a positivity run and an MS3 run without a limiter.  On
+# the 64-cell Shu-Osher run every limit has a cell in play, and the none
+# kind never reports a speed.
+SPEED_RUNS = {
+    **{name: config for name, (config, _) in FINAL_FIELD_SHA256.items()},
+    "lax_positivity": RunConfig(problem="lax", degree=2, n_cells=40,
+                                t_final=0.05, limiter="positivity"),
+    "advection_ms3_none": RunConfig(problem="smooth_advection", degree=2,
+                                    n_cells=16, integrator="ms3",
+                                    t_final=0.02, limiter="none"),
+}
+NO_SPEED_REPORTED = ("shu_osher_rk3", "advection_ms3_none")
+
+
+@pytest.mark.parametrize("name", sorted(SPEED_RUNS))
+def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
+    # every speed a report carries, and every step's alpha, equals the
+    # wave speed of its field evaluated afresh
+    speeds, alphas, step_starts = [], [], []
+
+    def checked_limit(fld, mesh, region, kind):
+        limited, rep = limit_field(fld, mesh, region, kind)
+        if rep.max_speed is not None:
+            speeds.append(rep.max_speed)
+            assert rep.max_speed == global_max_signal_speed(
+                limited, region.gamma, default_rule(limited.degree))
+        return limited, rep
+
+    def marked_diagnostics(*args):
+        step_starts.append(True)
+        return diagnostics(*args)
+
+    def checked_operator(fld, mesh, gamma, alpha, *args):
+        if step_starts:  # the step's first operator call is on its field
+            step_starts.clear()
+            alphas.append(alpha)
+            assert alpha == global_max_signal_speed(
+                fld, gamma, default_rule(fld.degree))
+        return spatial_operator(fld, mesh, gamma, alpha, *args)
+
+    diagnostics = ti._diagnostics
+    monkeypatch.setattr(ti, "limit_field", checked_limit)
+    monkeypatch.setattr(ti, "_diagnostics", marked_diagnostics)
+    monkeypatch.setattr(ti, "spatial_operator", checked_operator)
+    out = run(SPEED_RUNS[name])
+    assert (len(speeds) > 0) == (name not in NO_SPEED_REPORTED)
+    assert len(alphas) == out.result.diagnostics[-1].step > 0
 
 
 # The ideal-gas closure is written once, in ``euler_core``.  The tests below

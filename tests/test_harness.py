@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import irpdg.cli
+import irpdg.harness
 from irpdg.cli import _build_config, build_parser, main as cli_main
 from irpdg.dg_space import DGField, Mesh1D, l2_project, spatial_operator
 from irpdg.euler_core import PrimitiveState
@@ -154,6 +156,20 @@ class TestConvergenceStudy:
             convergence_study(cfg, [8, 24])
         with pytest.raises(ConfigError):
             convergence_study(cfg, [8])
+
+    def test_a_zero_density_division_is_a_failed_row(self, monkeypatch):
+        run_ = irpdg.harness.run
+
+        def run_or_divide_by_zero(cfg):
+            if cfg.n_cells == 16:
+                raise ZeroDivisionError("zero density at a cell interface trace")
+            return run_(cfg)
+
+        monkeypatch.setattr(irpdg.harness, "run", run_or_divide_by_zero)
+        cfg = RunConfig(problem="smooth_advection", degree=1, t_final=0.05)
+        rows = convergence_study(cfg, [8, 16])
+        assert rows[0].note == ""
+        assert rows[1].note == "failed: zero density at a cell interface trace"
 
     def test_first_order_diagnostic_mode(self):
         # k=0 forward-Euler build: LF finite volume, order ~1 in L1
@@ -388,6 +404,30 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "left" in proc.stderr
         assert not (tmp_path / "never.csv").exists()
+
+    def test_negative_node_pressure_exits_3(self, tmp_path):
+        # two rarefactions without a limiter take a node pressure below 0;
+        # the wave speed's ValueError used to end in a traceback and exit 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
+             "custom-riemann", "--left", "1,-2,0.4", "--right", "1,2,0.4",
+             "--domain=-1,1", "--tfinal", "0.15", "--limiter", "none",
+             "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "solver abort: negative pressure at test node of cell 49"]
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_zero_node_density_exits_3(self, monkeypatch, capsys):
+        def divide_by_zero(cfg):
+            raise ZeroDivisionError("zero density at a cell interface trace")
+
+        monkeypatch.setattr(irpdg.cli, "run", divide_by_zero)
+        assert cli_main(["solve", "--problem", "lax"]) == 3
+        assert capsys.readouterr().err == \
+            "solver abort: zero density at a cell interface trace\n"
 
     def test_custom_riemann_via_cli(self, tmp_path):
         out = str(tmp_path / "cr.csv")

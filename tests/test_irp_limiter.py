@@ -209,14 +209,17 @@ class TestCellRatios:
                                           fld.coeffs[0, :, 0])
             np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_node_density_never_passes_unlimited(self):
         # an infinite density slope has P2 nodes (-inf, nan, +inf): theta 0
-        # cannot scale inf away (inf * 0 = nan), so the limiter gives up;
-        # a nan average density fails the average test
+        # drops the infinite mode and leaves the cell at its mean; a nan
+        # average density fails the average test
         slope = single_cell_field(2, [1.0, np.inf], [0.0], [2.5])
-        with pytest.raises(RegionViolationError, match="fallback exhausted"):
-            limit_one(slope)
+        coeffs, rep = limit_one(slope)
+        assert rep.theta[0] == rep.theta1[0] == 0.0
+        assert rep.fallback_count == 0
+        np.testing.assert_array_equal(coeffs[0, :, 0], slope.coeffs[0, :, 0])
+        np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
+        assert not np.signbit(coeffs[0, :, 1:]).any()
         nan_average = single_cell_field(1, [np.nan], [0.0], [2.5])
         with pytest.raises(RegionViolationError,
                            match=r"density nan not above eps \(cell 0\)"):
@@ -275,6 +278,33 @@ class TestLimitField:
         out, rep = limit_field(fld, MESH4, REGION, LIMITER_NONE)
         np.testing.assert_array_equal(out.coeffs, fld.coeffs)
         assert rep.n_activated == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("kind", (LIMITER_NONE, LIMITER_POSITIVITY,
+                                      LIMITER_IRP))
+    def test_max_speed_only_when_no_cell_is_in_play(self, kind):
+        rng = np.random.default_rng(43)
+        quiet = random_cells(rng, 12, 2, overshoot=0.01)
+        dip = quiet.copy()  # in play for every kind: a density node below 0
+        dip.coeffs[5, 0, 1:] = [2.0 * dip.coeffs[5, 0, 0], 0.0]
+        entropy = quiet.copy()  # in play for the irp kind only
+        entropy.coeffs[3] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.5, 1.3, 0.0]]
+        overflow = quiet.copy()  # node q overflows to +inf, left unchanged
+        overflow.coeffs[7] = [[1e306, 0.0, 0.0], [0.0, 0.0, 0.0],
+                              [2.5e306, 0.0, 0.0]]
+        for fld in (quiet, dip, entropy, overflow):
+            out, rep = limit_field(fld, MESH4, REGION, kind)
+            in_play = (rep.rho_min < REGION.eps) | (rep.p_min < REGION.eps)
+            if kind == LIMITER_IRP:
+                in_play |= rep.q_max > Q_SLACK
+            assert (rep.max_speed is None) == \
+                (kind == LIMITER_NONE or in_play.any())
+            if rep.max_speed is not None:
+                np.testing.assert_array_equal(out.coeffs, fld.coeffs)
+                rho, m, E = node_states(fld, REGION)
+                p = (GAMMA - 1.0) * (E - 0.5 * m * m / rho)
+                assert rep.max_speed == pytest.approx(
+                    np.max(np.abs(m / rho) + np.sqrt(GAMMA * p / rho)))
 
     def test_input_not_mutated(self):
         rng = np.random.default_rng(41)

@@ -1,5 +1,6 @@
-"""Structure the package keeps: one ideal-gas closure, one node kernel,
-bounded caches and a public namespace of what the README imports."""
+"""Structure the package keeps: one ideal-gas closure, one node kernel, one
+wave-speed formula, bounded caches and a public namespace of what the README
+imports."""
 
 import importlib
 import inspect
@@ -40,6 +41,17 @@ def test_every_lru_cache_is_bounded():
 def test_the_limiter_takes_node_values_from_the_wave_speeds_kernel():
     source = inspect.getsource(importlib.import_module("irpdg.irp_limiter"))
     assert "einsum" not in source and "_values_at" in source
+
+
+def test_the_sound_speed_is_written_once():
+    # the limiter's max_speed and global_max_signal_speed share one helper,
+    # so the two agree bit for bit
+    sources = {info.name: inspect.getsource(
+        importlib.import_module(f"irpdg.{info.name}"))
+        for info in pkgutil.iter_modules(irpdg.__path__)}
+    counts = {name: source.count("np.sqrt(gamma * p / rho)")
+              for name, source in sources.items()}
+    assert {name: n for name, n in counts.items() if n} == {"dg_space": 1}
 
 
 def test_the_public_namespace_is_what_the_readme_imports():
