@@ -242,7 +242,13 @@ def main(argv=None) -> int:
             ZeroDivisionError) as err:
         detail = ""
         if isinstance(err, RegionViolationError):
-            detail = f" (step {err.step}, cell {err.cell})"
+            where = f"step {err.step}"
+            # the average test's message names its cell already
+            if err.cell is not None and f"(cell {err.cell})" not in str(err):
+                where += f", cell {err.cell}"
+            detail = f" ({where})"
+            if err.note:
+                detail += f"; {err.note}"
         print(f"solver abort: {err}{detail}", file=sys.stderr)
         return 3
 

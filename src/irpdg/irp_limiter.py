@@ -10,7 +10,7 @@ nodes.  The positivity-only variant drops the entropy constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +33,18 @@ _MAX_FALLBACK = 5
 
 
 class RegionViolationError(RuntimeError):
-    """A cell average left the strict interior of the admissible set."""
+    """A cell average left the strict interior of the admissible set.
+
+    ``evolve`` sets ``step``, and ``note`` where the failing step ran outside
+    the conditions of the IRP theory.
+    """
 
     def __init__(self, message: str, cell: int | None = None,
                  step: int | None = None):
         super().__init__(message)
         self.cell = cell
         self.step = step
+        self.note: str | None = None
 
 
 @dataclass
@@ -100,19 +105,6 @@ def _node_states(coeffs: np.ndarray, region: InvariantRegion,
     return rho, m, p, q
 
 
-def _node_min(a: np.ndarray) -> np.ndarray:
-    """Per-cell minimum over the node rows of a (n_nodes, n_cells) array.
-
-    Equals ``a.min(axis=0)`` bit for bit (nan propagates alike); a handful of
-    whole-row ufunc calls beat a reduction over columns of 2-4 nodes.
-    """
-    return reduce(np.minimum, a)
-
-
-def _node_max(a: np.ndarray) -> np.ndarray:
-    return reduce(np.maximum, a)
-
-
 def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
     """Per cell: every node has rho >= eps, a finite p >= eps and, with
     ``use_q``, q <= Q_SLACK (nodes passing the first two tests lie in the
@@ -120,12 +112,18 @@ def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
     ok = (rho >= eps) & (p >= eps) & (p < np.inf)
     if use_q:
         ok &= q <= Q_SLACK
-    return reduce(np.logical_and, ok)
+    return np.logical_and.reduce(ok, axis=0)
 
 
 def default_rule(degree: int) -> QuadratureRule:
     """Gauss-Lobatto test set matching the degree (2N-3 >= degree)."""
     return gauss_lobatto_rule(test_set_size(degree))
+
+
+@lru_cache(maxsize=16)
+def _test_table(degree: int) -> np.ndarray:
+    """The read-only basis table at the degree's test nodes."""
+    return basis_table(degree, default_rule(degree).nodes)
 
 
 def _ratio(num, den):
@@ -146,7 +144,9 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     q <= Q_SLACK; cell averages are bitwise unchanged.  A nan node density
     counts as a violation, and a nan or infinite node extremum gives its
     constraint theta 0; a cell rescaled by 0 keeps none of its non-finite
-    modes.
+    modes.  A cell in violation whose average lies outside (rho or p not
+    above eps, p not finite, or, for the irp kind, q above Q_SLACK) raises
+    RegionViolationError naming the cell.
 
     The combined rescaling theta = min(1, theta_i over violated constraints)
     lies in [0, 1] and is exact when all node states lie in the positive
@@ -165,28 +165,32 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     the same node values give the report's ``max_speed``, the wave speed
     that the next time step of the returned field needs.  No node array
     outlives the call.  The thermodynamics of the cell averages are
-    computed once, for the cells in play.  Round 1 re-evaluates the cells that round 0 rescaled (and any
-    whose node entropy overflowed, which only round 0 skips); round 2 those
-    that round 1 rescaled.  Each of these passes also takes the fallback's
-    admissibility test for the cells it saw, so the fallback reads it from
-    there and evaluates afresh only the cells that round 2 rescaled after
-    their last pass.
+    computed once, for the cells in play.  Round 1 re-evaluates the cells
+    that round 0 rescaled (and any whose node entropy overflowed, which only
+    round 0 skips); round 2 those that round 1 rescaled.  Each of these
+    passes takes the fallback's admissibility test first and ends the rounds
+    when every cell it saw passes, since an admissible cell violates no
+    constraint; the fallback reads the test from there and evaluates afresh
+    only the cells that round 2 rescaled after their last pass.  A round
+    computes its three constraints' ratios as one stacked (3, cells) pass.
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
     n = fld.n_cells
-    V = basis_table(fld.degree, default_rule(fld.degree).nodes)
+    V = _test_table(fld.degree)
     rho_n, m_n, p_n, q_n = _node_states(fld.coeffs, region, V)
     # the report counts a non-finite p as -inf, and q outside the positive
     # cone (rho > 0 and p finite and > 0) as +inf
     p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
     q_n = np.where((rho_n > 0.0) & (p_n > 0.0), q_n, np.inf)
-    rho_min, p_min, q_max = _node_min(rho_n), _node_min(p_n), _node_max(q_n)
+    rho_min = np.minimum.reduce(rho_n, axis=0)
+    p_min = np.minimum.reduce(p_n, axis=0)
+    q_max = np.maximum.reduce(q_n, axis=0)
 
     theta = np.ones(n)
-    theta1, theta2, theta3 = np.full((3, n), np.inf)
+    thetas = np.full((3, n), np.inf)  # theta1-3, one row per constraint
     out = fld.copy()
-    report = FieldLimiterReport(theta, theta1, theta2, theta3,
+    report = FieldLimiterReport(theta, *thetas,
                                 rho_min=rho_min, p_min=p_min, q_max=q_max,
                                 activated=np.zeros(n, dtype=bool))
     if kind == LIMITER_NONE:
@@ -209,17 +213,18 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     # Round 0 reuses the report's nodes: p over the nodes with rho > 0 and
     # the finite values of q.
     rho_n, p_n, q_n = rho_n[:, live], p_n[:, live], q_n[:, live]
-    ext = (rho_min[live], _node_min(np.where(rho_n > 0.0, p_n, np.inf)),
-           _node_max(np.where(np.isfinite(q_n), q_n, -np.inf)))
+    ext = (rho_min[live],
+           np.minimum.reduce(np.where(rho_n > 0.0, p_n, np.inf), axis=0),
+           np.maximum.reduce(np.where(np.isfinite(q_n), q_n, -np.inf), axis=0))
 
     coeffs = out.coeffs
     rho_avg, m_avg, E_avg = np.ascontiguousarray(coeffs[live, :, 0].T)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_avg, _, q_avg = gas_state(rho_avg, m_avg, E_avg, region)
-    # The average test: rho and p strictly above eps, and q <= Q_SLACK as
-    # at the nodes, since the region is closed and round-off leaves
-    # isentropic averages at q = 0 up to a few 1e-14.
-    inside = (rho_avg > eps) & (p_avg > eps)
+    # The average test: rho and p strictly above eps, p finite as at the
+    # nodes, and q <= Q_SLACK as at the nodes, since the region is closed
+    # and round-off leaves isentropic averages at q = 0 up to a few 1e-14.
+    inside = (rho_avg > eps) & (p_avg > eps) & (p_avg < np.inf)
     if use_q:
         inside &= q_avg <= Q_SLACK
     touched = np.zeros(live.size, dtype=bool)
@@ -227,17 +232,23 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     sel = np.arange(live.size)  # positions in ``live`` of this round's cells
     for round_idx in range(3):
         if round_idx:
+            # An admissible cell violates no constraint; otherwise take the
             # extrema over the nodes where each quantity is meaningful (see
-            # the docstring)
+            # the docstring).
             rho_n, _, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
-            admissible[sel] = _admissible(rho_n, p_n, q_n, eps, use_q)
+            passed = _admissible(rho_n, p_n, q_n, eps, use_q)
+            admissible[sel] = passed
+            if passed.all():
+                break
             rho_pos = rho_n > 0.0
-            ext = (_node_min(rho_n), _node_min(np.where(rho_pos, p_n, np.inf)),
-                   _node_max(np.where(rho_pos & (p_n > 0.0), q_n, -np.inf)))
-        a1 = ~(ext[0] >= eps)
-        a2 = ext[1] < eps
-        a3 = (ext[2] > Q_SLACK) if use_q else np.zeros(sel.size, dtype=bool)
-        active = a1 | a2 | a3
+            ext = (np.minimum.reduce(rho_n, axis=0),
+                   np.minimum.reduce(np.where(rho_pos, p_n, np.inf), axis=0),
+                   np.maximum.reduce(
+                       np.where(rho_pos & (p_n > 0.0), q_n, -np.inf), axis=0))
+        # rows: the rho, p and q constraints
+        a = np.array([~(ext[0] >= eps), ext[1] < eps,
+                      (ext[2] > Q_SLACK) & use_q])
+        active = np.logical_or.reduce(a, axis=0)
         if not active.any():
             break
         # Averages never change, so a cell that passed once passes again;
@@ -250,20 +261,22 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                 what = f"density {rho_avg[i]} not above eps"
             elif not p_avg[i] > eps:
                 what = f"pressure {p_avg[i]} not above eps"
+            elif not p_avg[i] < np.inf:
+                what = f"pressure {p_avg[i]} not finite"
             else:
                 what = f"entropy functional q={q_avg[i]} not negative"
             raise RegionViolationError(f"average {what} (cell {c})", cell=c)
-        t1, t2, t3 = np.full((3, sel.size), np.inf)
-        if a1.any():
-            i = sel[a1]
-            t1[a1] = _ratio(rho_avg[i] - eps, rho_avg[i] - ext[0][a1])
-        if a2.any():
-            i = sel[a2]
-            t2[a2] = _ratio(p_avg[i] - eps, p_avg[i] - ext[1][a2])
-        if a3.any():
-            q = q_avg[sel[a3]]  # theta3 = 0 where the average has q >= 0
-            t3[a3] = np.where(q < 0.0, _ratio(-q, ext[2][a3] - q), 0.0)
-        step = np.minimum(1.0, np.minimum(t1, np.minimum(t2, t3)))[active]
+        # The three ratios at once; a row whose constraint is inactive may
+        # hold inf - inf and is masked out.
+        a = a[:, active]
+        r, p, q = rho_avg[act], p_avg[act], q_avg[act]
+        e = [x[active] for x in ext]
+        with np.errstate(invalid="ignore"):
+            t = _ratio(np.array([r - eps, p - eps, -q]),
+                       np.array([r - e[0], p - e[1], e[2] - q]))
+        t[2] = np.where(q < 0.0, t[2], 0.0)  # theta3 = 0 where q >= 0
+        t = np.where(a, t, np.inf)
+        step = np.minimum(1.0, np.minimum.reduce(t, axis=0))
         c = live[act]
         flat = c[step == 0.0]
         if flat.size:
@@ -275,12 +288,11 @@ def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         coeffs[c, :, 1:] *= step[:, None, None]
         theta[c] *= step
         touched[act] = True
-        for th, t, a in ((theta1, t1, a1), (theta2, t2, a2), (theta3, t3, a3)):
-            if a.any():
-                c = live[sel[a]]
-                old = th[c]
-                th[c] = np.multiply(old, t[a], out=t[a],
-                                    where=np.isfinite(old))
+        # each constraint's theta takes the product of its ratios
+        old = thetas[:, c]
+        new = np.where(a, t, old)
+        np.multiply(old, t, out=new, where=a & np.isfinite(old))
+        thetas[:, c] = new
         if round_idx:  # round 1 passes over every live cell, as round 0 did
             sel = act
     else:

@@ -6,7 +6,10 @@ scheme, which requires a constant step and is bootstrapped by three RK3
 steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
 first Gauss-Lobatto weight of the active test set, the set the limiter
 checks: where a limit leaves its field unchanged, the limiter's node values
-give that wave speed.
+give that wave speed.  Each step leaves one record (``StepDiagnostics``):
+its limiter counts are taken as the step ends, its conserved totals and
+minimum average entropy a block of steps at a time, vectorized over the
+block, with the same bits as one step at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ PER_STAGE = "per_stage"
 PER_STEP = "per_step"
 
 _END_TOL = 1e-12
+# Bytes of cell averages a record block buffers (see ``_RecordBlock``).
+_RECORD_BLOCK_BYTES = 65536
 
 
 @dataclass
@@ -127,41 +132,68 @@ def ssp_ms3_step(w_now: np.ndarray, r_now: np.ndarray, w_old: np.ndarray,
         + (11.0 / 27.0) * (w_old + (12.0 / 11.0) * dt * r_old)
 
 
-def _entropy_of_averages(fld: DGField, region: InvariantRegion) -> float:
-    avg = fld.averages()
-    rho, m, E = avg[:, 0], avg[:, 1], avg[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = gas_pressure(rho, m, E, region.gamma)
-    ok = (rho > 0.0) & (p > 0.0)
-    if ok.all():
-        return float(gas_entropy(rho, p, region.gamma).min())
-    if not ok.any():
-        return float("nan")
-    return float(np.min(gas_entropy(rho[ok], p[ok], region.gamma)))
+def _record_block_rows(n_cells: int) -> int:
+    """Steps per record block: its averages take at most 64 KiB."""
+    return max(1, _RECORD_BLOCK_BYTES // (24 * n_cells))
+
+
+class _RecordBlock:
+    """Step records, built a block of steps at a time.
+
+    Each step leaves its limiter counts and a copy of its cell averages in
+    a (rows, n_cells, 3) buffer.  ``flush`` computes the buffered steps'
+    totals and minimum average entropy in one vectorized pass and appends
+    their StepDiagnostics to ``records``.  The buffer keeps the averages'
+    (cell, variable) layout, so its sum over the cell axis equals each
+    step's ``averages().sum(axis=0)`` bit for bit.
+    """
+
+    def __init__(self, n_cells: int, h: float, gamma: float):
+        self.buf = np.empty((_record_block_rows(n_cells), n_cells, 3))
+        self.h, self.gamma = h, gamma
+        self.rows: list[tuple] = []  # (step, t, dt, *counts) per buffer row
+        self.records: list[StepDiagnostics] = []
+
+    def add(self, row: tuple, averages: np.ndarray) -> None:
+        self.buf[len(self.rows)] = averages
+        self.rows.append(row)
+        if len(self.rows) == len(self.buf):
+            self.flush()
+
+    def flush(self) -> None:
+        avg = self.buf[:len(self.rows)]
+        totals = (self.h * avg.sum(axis=1)).tolist()
+        rho, m, E = avg[..., 0], avg[..., 1], avg[..., 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = gas_pressure(rho, m, E, self.gamma)
+            s = gas_entropy(rho, p, self.gamma)
+        # the minimum over the averages in the positive cone, nan for none
+        ok = (rho > 0.0) & (p > 0.0)
+        s_min = np.where(ok, s, np.inf).min(axis=1)
+        s_min[~ok.any(axis=1)] = np.nan
+        for row, total, s_row in zip(self.rows, totals, s_min.tolist()):
+            self.records.append(StepDiagnostics(*row, *total, s_row))
+        self.rows.clear()
 
 
 def _diagnostics(step: int, t: float, dt: float, fld: DGField,
-                 mesh: Mesh1D, region: InvariantRegion,
-                 reports) -> StepDiagnostics:
-    if reports:
-        min_theta = min(rep.min_theta for rep in reports)
+                 block: _RecordBlock, reports) -> None:
+    """Record one step into ``block``: the limiter counts of its reports
+    (none with no limiter) and its cell averages."""
+    if all(rep.max_speed is not None for rep in reports):
+        # every limit found no cell in play and returned its field unchanged
+        counts = (1.0, 0, 0, 0, 0, 0)
+    else:
         activated = np.zeros(fld.n_cells, dtype=bool)
         for rep in reports:
             activated |= rep.activated
-        n_act = int(np.count_nonzero(activated))
-        n_rho = sum(rep.n_rho_active for rep in reports)
-        n_p = sum(rep.n_p_active for rep in reports)
-        n_q = sum(rep.n_q_active for rep in reports)
-        n_fb = sum(rep.fallback_count for rep in reports)
-    else:
-        min_theta, n_act, n_rho, n_p, n_q, n_fb = 1.0, 0, 0, 0, 0, 0
-    totals = mesh.h * fld.averages().sum(axis=0)
-    return StepDiagnostics(
-        step=step, t=t, dt=dt, min_theta=min_theta, n_activated=n_act,
-        n_rho_active=n_rho, n_p_active=n_p, n_q_active=n_q, n_fallback=n_fb,
-        total_rho=float(totals[0]), total_m=float(totals[1]),
-        total_E=float(totals[2]),
-        min_avg_entropy=_entropy_of_averages(fld, region))
+        counts = (min(rep.min_theta for rep in reports),
+                  int(np.count_nonzero(activated)),
+                  sum(rep.n_rho_active for rep in reports),
+                  sum(rep.n_p_active for rep in reports),
+                  sum(rep.n_q_active for rep in reports),
+                  sum(rep.fallback_count for rep in reports))
+    block.add((step, t, dt, *counts), fld.averages())
 
 
 def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
@@ -178,9 +210,13 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     from the limiter report that returned the field (the initial limit's,
     or the last of the step before); ``global_max_signal_speed`` evaluates
     it only where that report has none: after a limit that changed a cell,
-    or with no limiter.  A RegionViolationError raised by the limiter
-    aborts the run with the failing step index attached (0 for that first
-    limit).
+    or with no limiter.  ``_diagnostics`` records each step, the initial
+    limit as step 0, into a block of at most 64 KiB of cell averages, which
+    it turns into StepDiagnostics whenever it fills; ``evolve`` turns the
+    part left after the last step.  A RegionViolationError raised by the
+    limiter aborts the run with the failing step index attached (0 for that
+    first limit) and, where an RK3 step with per_step placement failed, a
+    note that this placement is outside the IRP theory.
     """
     if opts.t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -200,11 +236,11 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     step, t, n_steps = 0, 0.0, 0
     t_tol = _END_TOL * max(1.0, opts.t_final)
     history = deque(maxlen=4)
+    block = _RecordBlock(fld.n_cells, mesh.h, gamma)
     try:
         fld, rep0 = limit(fld)
         theta_last = rep0.theta
-        diagnostics = [_diagnostics(0, 0.0, 0.0, fld, mesh, region,
-                                    [rep0] if stage_limit else [])]
+        _diagnostics(0, 0.0, 0.0, fld, block, [rep0] if stage_limit else [])
         speed = rep0.max_speed  # the wave speed of fld, where already known
         if multistep and opts.t_final > 0.0:
             # Constant dt for the whole run, frozen from the initial signal
@@ -243,19 +279,27 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                     fld, rep = stage_limit(fld)
                     reports.append(rep)
             else:
-                fld, reports = ssp_rk3_step(fld, dt, rhs, stage_limit,
-                                            per_stage, rhs0=residual)
+                try:
+                    fld, reports = ssp_rk3_step(fld, dt, rhs, stage_limit,
+                                                per_stage, rhs0=residual)
+                except RegionViolationError as err:
+                    if not per_stage:
+                        err.note = ("RK3 with per_step placement is outside "
+                                    "the IRP theory: use per_stage placement, "
+                                    "which limits every stage")
+                    raise
             step += 1
             t = step * dt if multistep else t + dt
             speed = None
             if reports:
                 theta_last = reports[-1].theta
                 speed = reports[-1].max_speed
-            diagnostics.append(_diagnostics(step, t, dt, fld, mesh, region,
-                                            reports))
+            _diagnostics(step, t, dt, fld, block, reports)
     except RegionViolationError as err:
         err.step = step
         raise
+    block.flush()
+    diagnostics = block.records
     min_entropy = float(np.min([d.min_avg_entropy for d in diagnostics]))
     return EvolveResult(final=fld, diagnostics=diagnostics,
                         theta_last=theta_last, min_avg_entropy=min_entropy)

@@ -649,6 +649,130 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
     assert len(alphas) == out.result.diagnostics[-1].step > 0
 
 
+# ``evolve`` builds its step records a block of steps at a time.  The
+# oracles below build one record per step, as the loop once did.
+
+def oracle_entropy_of_averages(fld, region):
+    avg = fld.averages()
+    rho, m, E = avg[:, 0], avg[:, 1], avg[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = gas_pressure(rho, m, E, region.gamma)
+    ok = (rho > 0.0) & (p > 0.0)
+    if ok.all():
+        return float(gas_entropy(rho, p, region.gamma).min())
+    if not ok.any():
+        return float("nan")
+    return float(np.min(gas_entropy(rho[ok], p[ok], region.gamma)))
+
+
+def oracle_diagnostics(step, t, dt, fld, mesh, region, reports):
+    if reports:
+        min_theta = min(rep.min_theta for rep in reports)
+        activated = np.zeros(fld.n_cells, dtype=bool)
+        for rep in reports:
+            activated |= rep.activated
+        n_act = int(np.count_nonzero(activated))
+        n_rho = sum(rep.n_rho_active for rep in reports)
+        n_p = sum(rep.n_p_active for rep in reports)
+        n_q = sum(rep.n_q_active for rep in reports)
+        n_fb = sum(rep.fallback_count for rep in reports)
+    else:
+        min_theta, n_act, n_rho, n_p, n_q, n_fb = 1.0, 0, 0, 0, 0, 0
+    totals = mesh.h * fld.averages().sum(axis=0)
+    return ti.StepDiagnostics(
+        step=step, t=t, dt=dt, min_theta=min_theta, n_activated=n_act,
+        n_rho_active=n_rho, n_p_active=n_p, n_q_active=n_q, n_fallback=n_fb,
+        total_rho=float(totals[0]), total_m=float(totals[1]),
+        total_E=float(totals[2]),
+        min_avg_entropy=oracle_entropy_of_averages(fld, region))
+
+
+def records_and_oracle(monkeypatch, config):
+    """Run ``config``; (its step records, the oracle's records of the field
+    and the reports that the ``_diagnostics`` hook saw at each step)."""
+    seen = []
+
+    def recorded(*args):
+        step, t, dt, fld = args[:4]
+        seen.append((step, t, dt, fld.copy(), args[-1]))
+        return diagnostics(*args)
+
+    diagnostics = ti._diagnostics
+    monkeypatch.setattr(ti, "_diagnostics", recorded)
+    out = run(config)
+    return out.result.diagnostics, [
+        oracle_diagnostics(step, t, dt, fld, out.mesh, out.region, reports)
+        for step, t, dt, fld, reports in seen]
+
+
+def assert_same_records(got, expected):
+    # repr shows every field, exact for floats, equal for nan, and names a
+    # numpy scalar where a Python number was expected
+    assert len(got) == len(expected) > 0
+    for g, e in zip(got, expected):
+        assert repr(g) == repr(e)
+
+
+# The speed runs (the pinned ones, a positivity run, a none run and MS3
+# runs), each shorter than one block, and a size whose block is one row.
+RECORD_RUNS = {
+    **SPEED_RUNS,
+    "lax_2731_cells": RunConfig(problem="lax", degree=1, n_cells=2731,
+                                t_final=0.0005),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_RUNS))
+def test_step_records_equal_the_per_step_oracle(monkeypatch, name):
+    config = RECORD_RUNS[name]
+    got, expected = records_and_oracle(monkeypatch, config)
+    assert_same_records(got, expected)
+    rows = ti._record_block_rows(config.n_cells)
+    assert rows == 1 if name == "lax_2731_cells" else len(got) < rows
+
+
+@pytest.mark.parametrize("rows", (40, 31, 30, 4),
+                         ids=("short", "one_block", "block_plus_one",
+                              "blocks_plus_part"))
+def test_step_records_across_block_boundaries(monkeypatch, rows):
+    # the pinned Lax run leaves 31 records; a smaller block makes evolve
+    # flush full blocks inside the loop and the part left after it
+    config = FINAL_FIELD_SHA256["lax_rk3"][0]
+    monkeypatch.setattr(ti, "_RECORD_BLOCK_BYTES", 24 * config.n_cells * rows)
+    got, expected = records_and_oracle(monkeypatch, config)
+    assert len(got) == 31
+    assert_same_records(got, expected)
+
+
+def test_step_records_take_the_entropy_minimum_over_the_positive_cone(
+        monkeypatch):
+    # rows with every average, some or none in the positive cone, with
+    # +-0, nan and inf entries; blocks of four rows
+    n = 6
+    monkeypatch.setattr(ti, "_RECORD_BLOCK_BYTES", 24 * n * 4)
+    mesh = Mesh1D(0.0, 1.5, n)
+    block = ti._RecordBlock(n, mesh.h, GAMMA)
+    rng = np.random.default_rng(17)
+    expected = []
+    for step in range(11):
+        fld = random_field(rng, n, 1, 0.1)
+        if step % 3 == 1:
+            cells = rng.choice(n, 3, replace=False)
+            fld.coeffs[cells, rng.choice((0, 2), 3), 0] = \
+                rng.choice((-1.0, 0.0, -0.0, np.nan, np.inf), 3)
+        elif step % 3 == 2:
+            fld.coeffs[:, 0, 0] = rng.choice((-1.0, 0.0, -0.0, np.nan), n)
+        ti._diagnostics(step, 0.1 * step, 0.1, fld, block, [])
+        with np.errstate(all="ignore"):
+            expected.append(oracle_diagnostics(step, 0.1 * step, 0.1, fld,
+                                               mesh, REGION, []))
+    block.flush()
+    assert_same_records(block.records, expected)
+    entropies = [d.min_avg_entropy for d in block.records]
+    assert np.isnan(entropies[2::3]).all()
+    assert np.isfinite(entropies[0::3]).all()
+
+
 # The ideal-gas closure is written once, in ``euler_core``.  The tests below
 # pin it to the formulas it replaced, over the inputs where floating point
 # is least forgiving: nan, +-inf, +-0, 1e300, subnormals, negative density

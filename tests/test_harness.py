@@ -420,6 +420,24 @@ class TestCli:
             "solver abort: negative pressure at test node of cell 49"]
         assert not (tmp_path / "never.csv").exists()
 
+    def test_per_step_rk3_abort_points_to_per_stage(self, tmp_path):
+        # Einfeldt's 1-2-3 problem with the limiter after the assembled RK3
+        # step only: the line names the cell once and points to per_stage
+        proc = subprocess.run(
+            [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
+             "custom-riemann", "--left", "1,-2,0.4", "--right", "1,2,0.4",
+             "--domain=-1,1", "--tfinal", "0.15", "--placement", "per_step",
+             "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("solver abort: average pressure -0.17")
+        assert line.count("cell 49") == 1
+        assert "(step 13); RK3 with per_step placement is outside the IRP " \
+            "theory: use per_stage placement" in line
+        assert not (tmp_path / "never.csv").exists()
+
     def test_zero_node_density_exits_3(self, monkeypatch, capsys):
         def divide_by_zero(cfg):
             raise ZeroDivisionError("zero density at a cell interface trace")

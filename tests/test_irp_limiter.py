@@ -225,6 +225,21 @@ class TestCellRatios:
                            match=r"density nan not above eps \(cell 0\)"):
             limit_one(nan_average)
 
+    @pytest.mark.parametrize("kind", (LIMITER_POSITIVITY, LIMITER_IRP))
+    def test_an_infinite_average_pressure_fails_the_average_test(self, kind):
+        # an average energy of inf gives p = inf at the average and at every
+        # node, so no rescaling can reach the admissible set: the average
+        # test names the cell instead of the fallback giving up on it
+        region = InvariantRegion(GAMMA, s0=-5.0)
+        fld = random_cells(np.random.default_rng(4), 3, 2, overshoot=0.05,
+                           region=region)
+        fld.coeffs[1, 2, 0] = np.inf
+        with pytest.raises(RegionViolationError,
+                           match=r"^average pressure inf not finite "
+                                 r"\(cell 1\)$") as exc:
+            limit_field(fld, Mesh1D(0.0, 1.0, 3), region, kind)
+        assert exc.value.cell == 1
+
     def test_theta_in_unit_interval(self):
         rng = np.random.default_rng(23)
         fld = random_cells(rng, 500, 2, overshoot=1.0)

@@ -1,6 +1,6 @@
 """Structure the package keeps: one ideal-gas closure, one node kernel, one
-wave-speed formula, bounded caches and a public namespace of what the README
-imports."""
+wave-speed formula, one step-record site, bounded caches and buffers, and a
+public namespace of what the README imports."""
 
 import importlib
 import inspect
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import irpdg
+from irpdg.time_integration import _record_block_rows
 
 # ``euler_core`` holds the closure; ``riemann_exact``'s wave curves are
 # formulas of their own.
@@ -52,6 +53,18 @@ def test_the_sound_speed_is_written_once():
     counts = {name: source.count("np.sqrt(gamma * p / rho)")
               for name, source in sources.items()}
     assert {name: n for name, n in counts.items() if n} == {"dg_space": 1}
+
+
+@pytest.mark.parametrize("n_cells", (1, 128, 2560, 10**5))
+def test_the_record_block_holds_at_most_64_kib(n_cells):
+    # the block's averages add to the solve's peak memory
+    assert _record_block_rows(n_cells) == max(1, 65536 // (24 * n_cells))
+
+
+def test_step_records_are_built_at_one_site():
+    sources = [inspect.getsource(importlib.import_module(f"irpdg.{info.name}"))
+               for info in pkgutil.iter_modules(irpdg.__path__)]
+    assert sum(source.count("StepDiagnostics(") for source in sources) == 1
 
 
 def test_the_public_namespace_is_what_the_readme_imports():

@@ -12,6 +12,7 @@ import irpdg.time_integration as ti
 from irpdg.dg_space import DGField, Mesh1D, gauss_lobatto_rule, \
     global_max_signal_speed, l2_project, spatial_operator
 from irpdg.euler_core import InvariantRegion, PrimitiveState, to_conserved
+from irpdg.harness import RunConfig, run
 from irpdg.irp_limiter import RegionViolationError, default_rule, \
     limit_field
 from irpdg.time_integration import (
@@ -303,6 +304,27 @@ class TestEvolve:
                    EvolveOptions(t_final=0.1))
         assert (exc.value.step, exc.value.cell) == (0, 3)
         assert "average pressure" in str(exc.value)
+
+    def test_a_per_step_rk3_abort_notes_the_theory(self):
+        # per_step placement leaves RK3's inner stages unlimited, outside
+        # the IRP theory; the error says so for library callers too.  An
+        # abort in the initial limit is not a step's and gets no note.
+        left, right = PrimitiveState(1.0, -2.0, 0.4), \
+            PrimitiveState(1.0, 2.0, 0.4)
+        config = RunConfig(problem="custom-riemann", left=left, right=right,
+                           domain=(-1.0, 1.0), t_final=0.15,
+                           limiter_placement="per_step")
+        with pytest.raises(RegionViolationError) as exc:
+            run(config)
+        assert (exc.value.step, exc.value.cell) == (13, 49)
+        assert "outside the IRP theory" in exc.value.note
+        assert "per_stage" in exc.value.note
+        fld = constant_field(8, 2, 1.0, 0.0, 1.0)
+        fld.coeffs[3, 2, 0] = -0.4 / (GAMMA - 1.0)
+        with pytest.raises(RegionViolationError) as exc:
+            evolve(fld, Mesh1D(0.0, 1.0, 8), InvariantRegion(GAMMA, s0=-1.0),
+                   EvolveOptions(t_final=0.1, placement="per_step"))
+        assert exc.value.step == 0 and exc.value.note is None
 
     def test_unknown_integrator(self):
         fld, mesh, region = build_smooth_problem(8)
