@@ -17,15 +17,11 @@ import numpy as np
 from .euler_core import PrimitiveState, to_conserved
 from .harness import ConfigError, PROBLEMS, RunConfig, check_domain, \
     check_state, convergence_study, emit_diagnostics_csv, \
-    emit_solution_csv, emit_table_csv, resolve_output_path, run
+    emit_solution_csv, emit_table_csv, run, write_csv
 from .irp_limiter import LIMITER_KINDS, RegionViolationError
 from .riemann_exact import RiemannProblem, RiemannSolverError, VacuumError, \
     sample_primitives, solve_star
 from .time_integration import MS3, PER_STAGE, PER_STEP, RK3
-
-_SOLVER_KEYS = ("problem", "degree", "cells", "limiter", "integrator", "cfl",
-                "tfinal", "gamma", "eps", "placement", "out", "left", "right",
-                "x0", "domain")
 
 
 def _parse_floats(text: str, count: int) -> tuple[float, ...]:
@@ -37,6 +33,36 @@ def _parse_floats(text: str, count: int) -> tuple[float, ...]:
         return tuple(float(p) for p in parts)
     except ValueError as err:
         raise ConfigError(f"bad numbers {text!r}") from err
+
+
+def _state(text: str) -> PrimitiveState:
+    return PrimitiveState(*_parse_floats(text, 3))
+
+
+# The solver options: each flag, also the config-file key, maps to its
+# RunConfig field, the converter of its text and its argparse keywords.
+# int and float are also the flag's argparse type.
+_SOLVER_OPTIONS = {
+    "problem": ("problem", str, {"choices": PROBLEMS}),
+    "degree": ("degree", int, {}),
+    "cells": ("n_cells", int, {}),
+    "limiter": ("limiter", str, {"choices": LIMITER_KINDS}),
+    "integrator": ("integrator", str, {"choices": (RK3, MS3)}),
+    "cfl": ("cfl_fraction", float, {}),
+    "tfinal": ("t_final", float, {}),
+    "gamma": ("gamma", float, {}),
+    "eps": ("epsilon", float, {}),
+    "placement": ("limiter_placement", str,
+                  {"choices": (PER_STAGE, PER_STEP)}),
+    "out": ("output_path", str, {}),
+    "left": ("left", _state,
+             {"help": "rho,u,p of the left state (custom-riemann)"}),
+    "right": ("right", _state,
+              {"help": "rho,u,p of the right state (custom-riemann)"}),
+    "x0": ("x0", float, {"help": "interface location (custom-riemann)"}),
+    "domain": ("domain", lambda text: _parse_floats(text, 2),
+               {"help": "a,b mesh extent override"}),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -52,7 +78,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _SOLVER_KEYS:
+                if key not in _SOLVER_OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
     except OSError as err:
@@ -61,64 +87,30 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", choices=PROBLEMS)
-    sub.add_argument("--degree", type=int)
-    sub.add_argument("--cells", type=int)
-    sub.add_argument("--limiter", choices=LIMITER_KINDS)
-    sub.add_argument("--integrator", choices=(RK3, MS3))
-    sub.add_argument("--cfl", type=float)
-    sub.add_argument("--tfinal", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--placement", choices=(PER_STAGE, PER_STEP))
-    sub.add_argument("--out")
+    for key, (_, convert, keywords) in _SOLVER_OPTIONS.items():
+        kind = convert if convert in (int, float) else None
+        sub.add_argument(f"--{key}", type=kind, **keywords)
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--left", help="rho,u,p of the left state (custom-riemann)")
-    sub.add_argument("--right", help="rho,u,p of the right state (custom-riemann)")
-    sub.add_argument("--x0", type=float, help="interface location (custom-riemann)")
-    sub.add_argument("--domain", help="a,b mesh extent override")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """The flags over the config file; unset keys keep RunConfig's defaults."""
     fromfile = read_config_file(args.config) if args.config else {}
-
-    def pick(key: str) -> str | None:
-        cli = getattr(args, key, None)
-        return fromfile.get(key) if cli is None else str(cli)
-
-    def number(key: str, kind=float):
-        text = pick(key)
+    if args.problem is None and "problem" not in fromfile:
+        raise ConfigError("no problem selected (flag --problem or config file)")
+    given = {}
+    for key, (field, convert, _) in _SOLVER_OPTIONS.items():
+        cli = getattr(args, key)
+        text = fromfile.get(key) if cli is None else str(cli)
         if text is None:
-            return None
+            continue
         try:
-            return kind(text)
+            given[field] = convert(text)
+        except ConfigError:  # a list of numbers, with its own message
+            raise
         except ValueError as err:
             raise ConfigError(f"bad {key} value {text!r}") from err
-
-    problem = pick("problem")
-    if problem is None:
-        raise ConfigError("no problem selected (flag --problem or config file)")
-    left = pick("left")
-    right = pick("right")
-    domain = pick("domain")
-    given = dict(
-        degree=number("degree", int),
-        n_cells=number("cells", int),
-        limiter=pick("limiter"),
-        integrator=pick("integrator"),
-        cfl_fraction=number("cfl"),
-        t_final=number("tfinal"),
-        gamma=number("gamma"),
-        epsilon=number("eps"),
-        output_path=pick("out"),
-        limiter_placement=pick("placement"),
-        left=None if left is None else PrimitiveState(*_parse_floats(left, 3)),
-        right=None if right is None else PrimitiveState(*_parse_floats(right, 3)),
-        x0=number("x0"),
-        domain=None if domain is None else _parse_floats(domain, 2))
-    cfg = RunConfig(problem=problem,
-                    **{k: v for k, v in given.items() if v is not None})
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
 
@@ -161,8 +153,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_riemann_exact(args: argparse.Namespace) -> int:
-    left = PrimitiveState(*_parse_floats(args.left, 3))
-    right = PrimitiveState(*_parse_floats(args.right, 3))
+    left = _state(args.left)
+    right = _state(args.right)
     check_state("left", left)
     check_state("right", right)
     a, b = _parse_floats(args.domain, 2)
@@ -179,13 +171,10 @@ def _cmd_riemann_exact(args: argparse.Namespace) -> int:
     star = solve_star(problem)
     xs = np.linspace(a, b, args.samples)
     rho, u, p = sample_primitives(problem, star, (xs - args.x0) / args.time)
-    E = np.asarray(to_conserved(PrimitiveState(rho, u, p), args.gamma).E)
-    path = resolve_output_path(args.out or "riemann_exact.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,rho,u,p,E\n")
-        for i in range(len(xs)):
-            fh.write(",".join(f"{v:.12g}" for v in
-                              (xs[i], rho[i], u[i], p[i], E[i])) + "\n")
+    E = to_conserved(PrimitiveState(rho, u, p), args.gamma).E
+    path = write_csv(args.out or "riemann_exact.csv",
+                     ("x", "rho", "u", "p", "E"),
+                     np.stack([xs, rho, u, p, E], axis=1).tolist())
     print(f"wrote {path} (p*={star.p_star:.6g}, u*={star.u_star:.6g})")
     return 0
 

@@ -103,6 +103,12 @@ def test_set_size(k: int) -> int:
     return max(2, ceil((k + 3) / 2))
 
 
+def default_rule(degree: int) -> QuadratureRule:
+    """Gauss-Lobatto test set matching the degree (2N-3 >= degree): the
+    limiter's nodes, and the CFL bound's wave speed and first weight."""
+    return gauss_lobatto_rule(test_set_size(degree))
+
+
 def basis_values(degree: int, xi) -> np.ndarray:
     """Orthonormal Legendre basis values at reference points; (..., degree+1)."""
     xi = np.asarray(xi, dtype=float)
@@ -110,26 +116,16 @@ def basis_values(degree: int, xi) -> np.ndarray:
     return V * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
 
 
-def basis_table(degree: int, xi_nodes) -> np.ndarray:
-    """``basis_values`` at a 1D node set, cached and read-only; (n, degree+1).
+@lru_cache(maxsize=16)
+def _test_table(degree: int) -> np.ndarray:
+    """``basis_values`` at the degree's test nodes, read-only; (n, degree+1).
 
-    The table keeps the memory layout ``basis_values`` gives it, which is not
-    C-contiguous: einsum rounds differently over a contiguous copy, and
-    ``evaluate_at_nodes``' einsum over this table must round as over a fresh
-    one.  Its mode axis is strided, so that einsum sums the modes left to
-    right from +0; the limiter and ``global_max_signal_speed`` take their
-    node values with the same sum (``_values_at``), which equals
-    ``einsum("cvj,nj->cvn")`` over a table of two or more nodes bit for bit
-    on numpy 2.4, checked through degree 6.  Over a one-node table einsum
-    sums otherwise, and the two differ in the last bits from degree 2 on.
+    Kept in that layout, where ``V.T`` is C-contiguous: it does not change
+    ``_values_at``'s bits, but over a C-contiguous copy the P2 wave speed
+    took 2.1x as long at 100 cells and 4.6x at 2560, and ``limit_field``
+    1.5x and 3.2x (2-vCPU Xeon VM, numpy 2.4).
     """
-    nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
-    return _basis_table(degree, nodes.tobytes())
-
-
-@lru_cache(maxsize=64)
-def _basis_table(degree: int, nodes: bytes) -> np.ndarray:
-    V = basis_values(degree, np.frombuffer(nodes))
+    V = basis_values(degree, default_rule(degree).nodes)
     V.flags.writeable = False
     return V
 
@@ -176,8 +172,8 @@ class DGField:
 
 def evaluate_at_nodes(fld: DGField, xi_nodes) -> np.ndarray:
     """Values of every cell polynomial at shared reference nodes; (n_cells, 3, n)."""
-    V = basis_table(fld.degree, xi_nodes)
-    return np.einsum("cvj,nj->cvn", fld.coeffs, V)
+    V = basis_values(fld.degree, np.atleast_1d(xi_nodes))
+    return _values_at(fld.coeffs, V).transpose(2, 0, 1)
 
 
 def evaluate_at_x(fld: DGField, mesh: Mesh1D, x) -> np.ndarray:
@@ -215,10 +211,12 @@ def _values_at(coeffs: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cell polynomials at a basis table's nodes; (3, n_nodes, n_cells).
 
     One broadcast multiply over the mode-major view ``coeffs.T`` and a sum
-    over the modes left to right from +0, einsum's order over ``V``'s
-    strided mode axis (see ``basis_table``).  The sum comes out with the
-    variable axis fastest; the C-order copy makes each variable one
-    contiguous block, which the elementwise passes after it run faster on.
+    over the modes left to right from +0: ``einsum("cvj,nj->cvn")``'s order
+    over ``basis_values``' strided mode axis, bit for bit on numpy 2.4
+    through degree 6, except over one node, where einsum sums otherwise
+    from degree 2 on.  The sum comes out with the variable axis fastest;
+    the C-order copy makes each variable one contiguous block, which the
+    elementwise passes after it run faster on.
     """
     return np.ascontiguousarray(
         np.add.reduce(coeffs.T[:, :, None, :] * V.T[:, None, :, None]))
@@ -233,10 +231,9 @@ def _max_speed(rho: np.ndarray, m: np.ndarray, p: np.ndarray,
     return float((np.abs(m / rho) + np.sqrt(gamma * p / rho)).max())
 
 
-def global_max_signal_speed(fld: DGField, gamma: float,
-                            rule: QuadratureRule) -> float:
-    """Max of |u| + c over all cells at the given reference nodes."""
-    rho, m, E = _values_at(fld.coeffs, basis_table(fld.degree, rule.nodes))
+def global_max_signal_speed(fld: DGField, gamma: float) -> float:
+    """Max of |u| + c over all cells at the test nodes (``default_rule``)."""
+    rho, m, E = _values_at(fld.coeffs, _test_table(fld.degree))
     bad = rho <= 0.0
     if bad.any():
         cell = int(np.flatnonzero(bad.any(axis=0))[0])

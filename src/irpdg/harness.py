@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .dg_space import DGField, INFLOW_OUTFLOW, Mesh1D, OUTFLOW, PERIODIC, \
-    evaluate_at_nodes, evaluate_at_x, gauss_legendre_rule, \
-    gauss_lobatto_rule, l2_project, test_set_size
+    default_rule, evaluate_at_nodes, evaluate_at_x, gauss_legendre_rule, \
+    l2_project
 from .euler_core import ConservedState, InvariantRegion, PrimitiveState, \
     entropy_floor_from_initial, gas_state, to_conserved, to_primitive
 from .irp_limiter import LIMITER_IRP, LIMITER_KINDS
 from .riemann_exact import RiemannProblem, sample_conserved_at, star_of
 from .time_integration import EvolveOptions, EvolveResult, MS3, PER_STAGE, \
-    PER_STEP, RK3, evolve
+    PER_STEP, RK3, StepDiagnostics, evolve
 
 SMOOTH_ADVECTION = "smooth_advection"
 LAX = "lax"
@@ -306,13 +306,20 @@ def convergence_study(config: RunConfig,
 
     Both integrators are third order in time, so for degree 3 the step is
     shrunk faster than h (cfl scaled by (N0/N)^(1/3), i.e. dt ~ h^(4/3));
-    otherwise the temporal error would cap the observed order at 3.
+    otherwise the temporal error would cap the observed order at 3.  Bad
+    cell counts, and a preset with no exact reference, raise ConfigError
+    before any row is solved.
     """
     if len(cell_counts) < 2:
         raise ConfigError("convergence study needs at least two cell counts")
+    if min(cell_counts) < 1:
+        raise ConfigError("cell counts must be at least 1")
     for prev, cur in zip(cell_counts, cell_counts[1:]):
         if cur != 2 * prev:
             raise ConfigError("cell counts must double between rows")
+    if preset(config.problem, config.gamma, config.left, config.right,
+              config.x0, config.domain).reference == "self":
+        raise ConfigError(f"preset {config.problem!r} has no exact reference")
     base_cfl = EvolveOptions(t_final=0.0, integrator=config.integrator,
                              cfl_fraction=config.cfl_fraction).resolved_cfl()
     cfl_exponent = max(0.0, (config.degree - 2) / 3.0)
@@ -354,20 +361,27 @@ def shock_position(fld: DGField, mesh: Mesh1D) -> float:
     return float(mesh.edges()[int(np.argmin(jumps)) + 1])
 
 
-def resolve_output_path(path: str) -> str:
-    """Apply the output-directory override env var to relative paths."""
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
+
+
+def write_csv(path: str, header, rows) -> str:
+    """Write the header and a line per row, each value through ``_fmt``.
+
+    A relative path goes under ``$IRPDG_OUTPUT_DIR`` when that is set;
+    returns the path written."""
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
 def emit_solution_csv(out: RunOutput, path: str,
@@ -379,7 +393,7 @@ def emit_solution_csv(out: RunOutput, path: str,
     """
     fld = out.result.final
     if points_per_cell is None:
-        nodes = gauss_lobatto_rule(test_set_size(fld.degree)).nodes
+        nodes = default_rule(fld.degree).nodes
     else:
         if points_per_cell < 1:
             raise ConfigError("points_per_cell must be positive")
@@ -392,38 +406,17 @@ def emit_solution_csv(out: RunOutput, path: str,
         p, s, q = gas_state(rho, m, E, out.region)
     cone = (rho > 0.0) & (p > 0.0)
     s, q = np.where(cone, s, np.nan), np.where(cone, q, np.nan)
-    theta = out.result.theta_last
-    path = resolve_output_path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,rho,u,p,E,s,q,theta_last\n")
-        for c in range(fld.n_cells):
-            for j in range(xs.shape[1]):
-                cols = (xs[c, j], rho[c, j], u[c, j], p[c, j], E[c, j],
-                        s[c, j], q[c, j], float(theta[c]))
-                fh.write(",".join(_fmt(float(v)) for v in cols) + "\n")
-    return path
+    theta = np.broadcast_to(out.result.theta_last[:, None], xs.shape)
+    cols = np.stack([xs, rho, u, p, E, s, q, theta], axis=-1)
+    return write_csv(path, ("x", "rho", "u", "p", "E", "s", "q", "theta_last"),
+                     cols.reshape(-1, 8).tolist())
 
 
 def emit_table_csv(rows: list[ConvergenceRow], path: str) -> str:
-    path = resolve_output_path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n_cells,error_linf,order_linf,error_l1,order_l1,note\n")
-        for r in rows:
-            fh.write(",".join([_fmt(r.n_cells), _fmt(r.error_linf),
-                               _fmt(r.order_linf), _fmt(r.error_l1),
-                               _fmt(r.order_l1), r.note]) + "\n")
-    return path
+    return write_csv(path, [f.name for f in fields(ConvergenceRow)],
+                     map(astuple, rows))
 
 
 def emit_diagnostics_csv(out: RunOutput, path: str) -> str:
-    path = resolve_output_path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,t,dt,min_theta,n_activated,n_rho_active,n_p_active,"
-                 "n_q_active,n_fallback,total_rho,total_m,total_E,"
-                 "min_avg_entropy\n")
-        for d in out.result.diagnostics:
-            cols = (d.step, d.t, d.dt, d.min_theta, d.n_activated,
-                    d.n_rho_active, d.n_p_active, d.n_q_active, d.n_fallback,
-                    d.total_rho, d.total_m, d.total_E, d.min_avg_entropy)
-            fh.write(",".join(_fmt(v) for v in cols) + "\n")
-    return path
+    return write_csv(path, [f.name for f in fields(StepDiagnostics)],
+                     map(astuple, out.result.diagnostics))

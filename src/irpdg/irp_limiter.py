@@ -10,12 +10,10 @@ nodes.  The positivity-only variant drops the entropy constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dg_space import DGField, Mesh1D, QuadratureRule, _max_speed, \
-    _values_at, basis_table, gauss_lobatto_rule, test_set_size
+from .dg_space import DGField, Mesh1D, _max_speed, _test_table, _values_at
 from .euler_core import InvariantRegion, gas_state
 
 LIMITER_NONE = "none"
@@ -52,9 +50,9 @@ class FieldLimiterReport:
     """Vectorized limiter diagnostics for a whole field.
 
     ``max_speed`` is the limited field's max |u| + c over the test nodes,
-    bit for bit what ``global_max_signal_speed`` returns for it over the
-    same nodes.  It is set only when the positivity or irp kind found no
-    cell in play, and so returned the field unchanged; otherwise it is None.
+    bit for bit what ``global_max_signal_speed`` returns for it.  It is set
+    only when the positivity or irp kind found no cell in play, and so
+    returned the field unchanged; otherwise it is None.
     """
 
     theta: np.ndarray
@@ -113,17 +111,6 @@ def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
     if use_q:
         ok &= q <= Q_SLACK
     return np.logical_and.reduce(ok, axis=0)
-
-
-def default_rule(degree: int) -> QuadratureRule:
-    """Gauss-Lobatto test set matching the degree (2N-3 >= degree)."""
-    return gauss_lobatto_rule(test_set_size(degree))
-
-
-@lru_cache(maxsize=16)
-def _test_table(degree: int) -> np.ndarray:
-    """The read-only basis table at the degree's test nodes."""
-    return basis_table(degree, default_rule(degree).nodes)
 
 
 def _ratio(num, den):

@@ -130,45 +130,35 @@ def solve_star(problem: RiemannProblem) -> StarState:
 
 
 def sample(problem: RiemannProblem, star: StarState, xi: float) -> PrimitiveState:
-    """Self-similar solution at xi = x/t."""
+    """Self-similar solution at xi = x/t.
+
+    The right fan is the left one mirrored (x -> -x), written once with
+    ``sign`` 1.0 on the left and -1.0 on the right.  A product with ``sign``
+    is an exact negation, so each side keeps its own formulas' bits, signed
+    zeros included: negating a mirrored velocity back would turn an exactly
+    zero one into -0.
+    """
     gamma = problem.gamma
     gp = 0.5 * (gamma + 1.0) / gamma
     gm = 0.5 * (gamma - 1.0) / gamma
     if xi <= star.u_star:
-        side = problem.left
-        c = sqrt(gamma * side.p / side.rho)
-        if star.p_star > side.p:  # left shock
-            s = side.u - c * sqrt(gp * star.p_star / side.p + gm)
-            if xi <= s:
-                return side
-            return PrimitiveState(star.rho_star_left, star.u_star, star.p_star)
-        head = side.u - c
-        c_star = c * (star.p_star / side.p) ** gm
-        tail = star.u_star - c_star
-        if xi <= head:
-            return side
-        if xi >= tail:
-            return PrimitiveState(star.rho_star_left, star.u_star, star.p_star)
-        u = 2.0 / (gamma + 1.0) * (c + 0.5 * (gamma - 1.0) * side.u + xi)
-        cf = 2.0 / (gamma + 1.0) * (c + 0.5 * (gamma - 1.0) * (side.u - xi))
-        rho = side.rho * (cf / c) ** (2.0 / (gamma - 1.0))
-        return PrimitiveState(rho, u, side.p * (cf / c) ** (2.0 * gamma / (gamma - 1.0)))
-    side = problem.right
+        sign, side, rho_star = 1.0, problem.left, star.rho_star_left
+    else:
+        sign, side, rho_star = -1.0, problem.right, star.rho_star_right
     c = sqrt(gamma * side.p / side.rho)
-    if star.p_star > side.p:  # right shock
-        s = side.u + c * sqrt(gp * star.p_star / side.p + gm)
-        if xi >= s:
-            return side
-        return PrimitiveState(star.rho_star_right, star.u_star, star.p_star)
-    head = side.u + c
+    inner = PrimitiveState(rho_star, star.u_star, star.p_star)
+    if star.p_star > side.p:  # shock
+        s = side.u - sign * c * sqrt(gp * star.p_star / side.p + gm)
+        return side if sign * xi <= sign * s else inner
+    head = side.u - sign * c
     c_star = c * (star.p_star / side.p) ** gm
-    tail = star.u_star + c_star
-    if xi >= head:
+    tail = star.u_star - sign * c_star
+    if sign * xi <= sign * head:
         return side
-    if xi <= tail:
-        return PrimitiveState(star.rho_star_right, star.u_star, star.p_star)
-    u = 2.0 / (gamma + 1.0) * (-c + 0.5 * (gamma - 1.0) * side.u + xi)
-    cf = 2.0 / (gamma + 1.0) * (c - 0.5 * (gamma - 1.0) * (side.u - xi))
+    if sign * xi >= sign * tail:
+        return inner
+    u = 2.0 / (gamma + 1.0) * (sign * c + 0.5 * (gamma - 1.0) * side.u + xi)
+    cf = 2.0 / (gamma + 1.0) * (c + sign * 0.5 * (gamma - 1.0) * (side.u - xi))
     rho = side.rho * (cf / c) ** (2.0 / (gamma - 1.0))
     return PrimitiveState(rho, u, side.p * (cf / c) ** (2.0 * gamma / (gamma - 1.0)))
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg_space import DGField, Mesh1D, gauss_lobatto_rule, \
-    global_max_signal_speed, spatial_operator, test_set_size
+from .dg_space import DGField, Mesh1D, default_rule, \
+    global_max_signal_speed, spatial_operator
 from .euler_core import InvariantRegion, gas_entropy, gas_pressure
 from .irp_limiter import LIMITER_IRP, LIMITER_NONE, RegionViolationError, \
     limit_field
@@ -223,8 +223,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     if opts.integrator not in (RK3, MS3):
         raise ValueError(f"unknown integrator {opts.integrator!r}")
     gamma = region.gamma
-    rule = gauss_lobatto_rule(test_set_size(fld.degree))
-    w_hat_1 = float(rule.weights[0])
+    w_hat_1 = float(default_rule(fld.degree).weights[0])
     cfl = opts.resolved_cfl()
     per_stage = opts.placement == PER_STAGE
     multistep = opts.integrator == MS3
@@ -246,13 +245,13 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             # Constant dt for the whole run, frozen from the initial signal
             # speed and chosen to land exactly on t_final.
             if speed is None:
-                speed = global_max_signal_speed(fld, gamma, rule)
+                speed = global_max_signal_speed(fld, gamma)
             dt_raw = _dt_for_speed(speed, mesh.h, cfl, w_hat_1)
             n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
             dt = opts.t_final / n_steps
         while step < n_steps if multistep else opts.t_final - t > t_tol:
             # one wave-speed evaluation gives the flux's alpha and RK3's step
-            alpha = global_max_signal_speed(fld, gamma, rule) \
+            alpha = global_max_signal_speed(fld, gamma) \
                 if speed is None else speed
             if not multistep:
                 dt = _dt_for_speed(alpha, mesh.h, cfl, w_hat_1, t, opts.t_final)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from irpdg.dg_space import Mesh1D, basis_values
+from irpdg.dg_space import Mesh1D, basis_values, default_rule
 from irpdg.euler_core import ConservedState, InvariantRegion, PrimitiveState, \
     in_region, in_region_interior, to_conserved
 from irpdg.harness import (
@@ -25,7 +25,7 @@ from irpdg.harness import (
     shu_osher_reference_config,
     total_variation_of_density,
 )
-from irpdg.irp_limiter import Q_SLACK, default_rule, limit_field
+from irpdg.irp_limiter import Q_SLACK, limit_field
 from irpdg.riemann_exact import RiemannProblem, solve_star
 
 GAMMA = 1.4

@@ -15,17 +15,17 @@ import pytest
 import irpdg.irp_limiter as irp_limiter
 import irpdg.time_integration as ti
 from irpdg.dg_space import INFLOW_OUTFLOW, OUTFLOW, PERIODIC, DGField, \
-    Mesh1D, basis_derivatives, basis_values, gauss_legendre_rule, \
-    gauss_lobatto_rule, global_max_signal_speed, spatial_operator
-from irpdg.dg_space import _einsum_order_sum, _operator_tables, _values_at, \
-    basis_table
+    Mesh1D, basis_derivatives, basis_values, default_rule, \
+    evaluate_at_nodes, gauss_legendre_rule, gauss_lobatto_rule, global_max_signal_speed, \
+    spatial_operator
+from irpdg.dg_space import _einsum_order_sum, _operator_tables, \
+    _test_table, _values_at
 from irpdg.euler_core import ConservedState, InvariantRegion, \
     PrimitiveState, gas_entropy, gas_pressure, gas_state, in_region, \
     in_region_interior, to_conserved
 from irpdg.harness import RunConfig, run
 from irpdg.irp_limiter import LIMITER_IRP, LIMITER_KINDS, \
-    LIMITER_POSITIVITY, Q_SLACK, RegionViolationError, default_rule, \
-    limit_field
+    LIMITER_POSITIVITY, Q_SLACK, RegionViolationError, limit_field
 
 GAMMA = 1.4
 REGION = InvariantRegion(GAMMA, s0=-1.0)
@@ -359,10 +359,8 @@ def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
 @pytest.mark.parametrize("degree", DEGREES)
 def test_global_max_signal_speed_bit_exact(degree):
     fld = random_field(np.random.default_rng(degree), 200, degree, 0.01)
-    for rule in (default_rule(degree), gauss_lobatto_rule(4),
-                 gauss_legendre_rule(degree + 1)):
-        assert global_max_signal_speed(fld, GAMMA, rule) == \
-            oracle_max_signal_speed(fld, GAMMA, rule)
+    assert global_max_signal_speed(fld, GAMMA) == \
+        oracle_max_signal_speed(fld, GAMMA, default_rule(degree))
 
 
 def count_wave_speeds(monkeypatch, config):
@@ -413,7 +411,7 @@ def test_identical_runs_give_identical_bits(config):
 # The operator's and the wave speed's contractions are broadcast multiplies
 # and sums in einsum's order (``dg_space._einsum_order_sum``, ``_values_at``);
 # the tests below pin each to the einsum it replaced, over the layouts the
-# einsums saw: contiguous Vq, Dq and traces, and ``basis_table``'s own.
+# einsums saw: contiguous Vq, Dq and traces, and ``basis_values``' own.
 
 KERNEL_DEGREES = tuple(range(7))
 KERNEL_SIZES = (1, 2, 3, 2560)
@@ -459,7 +457,7 @@ def assert_kernels_match_einsum(coeffs, F):
 
     for rule in (default_rule(deg), gauss_lobatto_rule(4),
                  gauss_legendre_rule(deg + 1)):
-        V = basis_table(deg, rule.nodes)
+        V = basis_values(deg, rule.nodes)
         assert same_bits(_values_at(coeffs, V).transpose(2, 0, 1),
                          np.einsum("cvj,nj->cvn", coeffs, V))
 
@@ -480,7 +478,7 @@ def test_limiter_node_values_sum_in_einsums_order(degree, n_cells):
     # test-set table, on the whole field and on the rows of the cells in play
     rng = np.random.default_rng(1000 + 100 * degree + n_cells)
     coeffs = spread_values(rng, (n_cells, 3, degree + 1))
-    V = basis_table(degree, default_rule(degree).nodes)
+    V = _test_table(degree)
     rows = np.sort(rng.choice(n_cells, max(1, n_cells // 3), replace=False))
     for c in (coeffs, coeffs[rows], coeffs[rows[-1:]]):
         assert same_bits(_values_at(c, V).transpose(0, 2, 1),
@@ -500,6 +498,24 @@ def test_kernels_sum_signed_zeros_as_einsum(degree):
     F[1, [0, 3]] = -0.0
     F[2, 6] = 0.0
     assert_kernels_match_einsum(coeffs, F)
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+def test_evaluate_at_nodes_sums_as_einsum(degree):
+    # evaluate_at_nodes was this einsum over a fresh basis table; over a
+    # one-node table einsum sums otherwise from degree 2 on
+    rng = np.random.default_rng(2000 + degree)
+    fld = DGField(degree, spread_values(rng, (40, 3, degree + 1)))
+    fld.coeffs[[3, 11], 1] = -0.0
+    fld.coeffs[[5, 20], 0] = 0.0
+    fld.coeffs[8] = -0.0
+    fld.coeffs[17, :, ::2] = -0.0
+    for nodes in (gauss_legendre_rule(degree + 1).nodes,
+                  default_rule(degree).nodes, gauss_lobatto_rule(4).nodes,
+                  np.linspace(-0.5, 0.5, 5)):
+        assert same_bits(evaluate_at_nodes(fld, nodes),
+                         np.einsum("cvj,nj->cvn", fld.coeffs,
+                                   basis_values(degree, nodes)))
 
 
 @pytest.mark.parametrize("n_cells", (1, 2, 2560))
@@ -522,25 +538,22 @@ def test_spatial_operator_bit_exact_at_edge_sizes(degree, boundary, n_cells):
 def test_global_max_signal_speed_bit_exact_at_edge_sizes(degree, n_cells):
     fld = random_field(np.random.default_rng(degree + n_cells), n_cells,
                        degree, 0.01)
-    for rule in (default_rule(degree), gauss_lobatto_rule(4),
-                 gauss_legendre_rule(degree + 1)):
-        assert global_max_signal_speed(fld, GAMMA, rule) == \
-            oracle_max_signal_speed(fld, GAMMA, rule)
+    assert global_max_signal_speed(fld, GAMMA) == \
+        oracle_max_signal_speed(fld, GAMMA, default_rule(degree))
 
 
 def test_global_max_signal_speed_names_the_first_failing_cell():
     fld = random_field(np.random.default_rng(9), 30, 2, 0.01)
-    rule = default_rule(2)
     bad = fld.copy()
     bad.coeffs[[21, 6], 0, 0] = -1.0
     with pytest.raises(ValueError, match="nonpositive density at test node "
                                          "of cell 6$"):
-        global_max_signal_speed(bad, GAMMA, rule)
+        global_max_signal_speed(bad, GAMMA)
     bad = fld.copy()
     bad.coeffs[[25, 13], 2, 0] = 0.01
     with pytest.raises(ValueError, match="negative pressure at test node of "
                                          "cell 13$"):
-        global_max_signal_speed(bad, GAMMA, rule)
+        global_max_signal_speed(bad, GAMMA)
 
 
 @pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW, INFLOW_OUTFLOW))
@@ -624,8 +637,8 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
         limited, rep = limit_field(fld, mesh, region, kind)
         if rep.max_speed is not None:
             speeds.append(rep.max_speed)
-            assert rep.max_speed == global_max_signal_speed(
-                limited, region.gamma, default_rule(limited.degree))
+            assert rep.max_speed == global_max_signal_speed(limited,
+                                                            region.gamma)
         return limited, rep
 
     def marked_diagnostics(*args):
@@ -636,8 +649,7 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
         if step_starts:  # the step's first operator call is on its field
             step_starts.clear()
             alphas.append(alpha)
-            assert alpha == global_max_signal_speed(
-                fld, gamma, default_rule(fld.degree))
+            assert alpha == global_max_signal_speed(fld, gamma)
         return spatial_operator(fld, mesh, gamma, alpha, *args)
 
     diagnostics = ti._diagnostics

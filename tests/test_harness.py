@@ -184,9 +184,8 @@ class TestConvergenceStudy:
             fld = l2_project(w0, mesh, 0)
             t, T = 0.0, 0.1
             while t < T - 1e-12:
-                from irpdg.dg_space import gauss_lobatto_rule, \
-                    global_max_signal_speed
-                speed = global_max_signal_speed(fld, GAMMA, gauss_lobatto_rule(2))
+                from irpdg.dg_space import global_max_signal_speed
+                speed = global_max_signal_speed(fld, GAMMA)
                 dt = min(0.25 * mesh.h / speed, T - t)
                 fld = DGField(0, fld.coeffs
                               + dt * spatial_operator(fld, mesh, GAMMA, speed))
@@ -328,6 +327,21 @@ class TestCli:
         assert_exits_2_at_once(
             ["riemann-exact", "--left=1,0,1", "--right=0.125,0,0.1",
              "--time=0.2", "--domain=-1,1", flag], tmp_path)
+
+    @pytest.mark.parametrize("flags", [
+        ["--cells-list", "0,0"], ["--cells-list=-4,-8"],
+        ["--problem", "shu_osher", "--cells-list", "8,16"]],
+        ids=("zero_cells", "negative_cells", "no_exact_reference"))
+    def test_bad_converge_input_exits_2_before_any_solve(
+            self, flags, tmp_path, monkeypatch, capsys):
+        # used to exit 3 (a division by zero), 0 (a table of failed rows)
+        # and 2 only after solving the first row
+        argv = ["converge", "--problem", "lax", *flags]
+        assert_exits_2_at_once(argv, tmp_path)
+        monkeypatch.setattr(irpdg.harness, "evolve",
+                            lambda *args, **kwargs: pytest.fail("solved"))
+        assert cli_main([*argv, "--out", str(tmp_path / "never.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_converge_smoke(self, tmp_path):
         out = str(tmp_path / "conv.csv")

@@ -7,7 +7,8 @@ violating each constraint separately and jointly.
 import numpy as np
 import pytest
 
-from irpdg.dg_space import DGField, Mesh1D, basis_values, l2_project
+from irpdg.dg_space import DGField, Mesh1D, basis_values, default_rule, \
+    l2_project
 from irpdg.euler_core import ConservedState, InvariantRegion, PrimitiveState, \
     in_region, in_region_interior, to_conserved
 from irpdg.irp_limiter import (
@@ -16,7 +17,6 @@ from irpdg.irp_limiter import (
     LIMITER_POSITIVITY,
     Q_SLACK,
     RegionViolationError,
-    default_rule,
     limit_field,
 )
 

@@ -15,11 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from irpdg.dg_space import DGField, Mesh1D, basis_values  # noqa: E402
+from irpdg.dg_space import DGField, Mesh1D, basis_values, \
+    default_rule  # noqa: E402
 from irpdg.euler_core import InvariantRegion, PrimitiveState, \
     to_conserved  # noqa: E402
 from irpdg.irp_limiter import LIMITER_IRP, LIMITER_POSITIVITY, Q_SLACK, \
-    default_rule, limit_field  # noqa: E402
+    limit_field  # noqa: E402
 
 GAMMA = 1.4
 REGION = InvariantRegion(GAMMA, s0=-1.0)

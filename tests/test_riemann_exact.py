@@ -190,6 +190,17 @@ class TestSampling:
             w2 = sample_conserved_at(LAX, star, np.array([2 * x]), 2 * t)
             np.testing.assert_allclose(w1, w2, rtol=1e-13)
 
+    def test_right_fan_velocity_zero_is_positive(self):
+        # the right fan is the left one mirrored; negating the mirrored
+        # velocity back would give -0 where the velocity is exactly 0
+        problem = RiemannProblem(PrimitiveState(1.0, -2.0, 1.0),
+                                 PrimitiveState(1.0, 0.5, 1.0))
+        star = solve_star(problem)
+        xi = -(-math.sqrt(GAMMA) + 0.5 * (GAMMA - 1.0) * 0.5)
+        assert star.u_star < 0.0 < xi  # inside the right rarefaction
+        u = sample(problem, star, xi).u
+        assert u == 0.0 and math.copysign(1.0, u) == 1.0
+
     def test_sample_requires_positive_time(self):
         with pytest.raises(ValueError):
             sample_conserved_at(SOD, star_of(SOD), np.array([0.0]), 0.0)

@@ -9,10 +9,10 @@ The node states are recomputed here from the plain formulas.
 import numpy as np
 import pytest
 
-from irpdg.dg_space import evaluate_at_nodes
+from irpdg.dg_space import default_rule, evaluate_at_nodes
 from irpdg.euler_core import PrimitiveState
 from irpdg.harness import RunConfig, run
-from irpdg.irp_limiter import Q_SLACK, default_rule
+from irpdg.irp_limiter import Q_SLACK
 
 CASES = {
     # Einfeldt, Munz, Roe & Sjoegren (1991): two rarefactions leave a

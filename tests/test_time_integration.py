@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import irpdg.time_integration as ti
-from irpdg.dg_space import DGField, Mesh1D, gauss_lobatto_rule, \
+from irpdg.dg_space import DGField, Mesh1D, default_rule, \
     global_max_signal_speed, l2_project, spatial_operator
 from irpdg.euler_core import InvariantRegion, PrimitiveState, to_conserved
 from irpdg.harness import RunConfig, run
-from irpdg.irp_limiter import RegionViolationError, default_rule, \
-    limit_field
+from irpdg.irp_limiter import RegionViolationError, limit_field
 from irpdg.time_integration import (
     EvolveOptions,
     _dt_for_speed,
@@ -45,7 +44,7 @@ def scalar_field(value):
 
 
 def wave_speed(fld):
-    return global_max_signal_speed(fld, GAMMA, gauss_lobatto_rule(3))
+    return global_max_signal_speed(fld, GAMMA)
 
 
 class TestDtForSpeed:
@@ -181,13 +180,13 @@ def build_smooth_problem(n_cells, degree=2):
 def plain_ms3(fld, mesh, t_final, cfl):
     """Unlimited multistep run: (final coefficients, frozen dt, steps)."""
     rule = default_rule(fld.degree)
-    speed0 = global_max_signal_speed(fld, GAMMA, rule)
+    speed0 = global_max_signal_speed(fld, GAMMA)
     dt_raw = cfl * 0.5 * rule.weights[0] * mesh.h / speed0
     n = max(1, int(np.ceil(t_final / dt_raw - 1e-12)))
     dt = t_final / n
     w, history = fld.coeffs, []
     for k in range(n):
-        alpha = global_max_signal_speed(DGField(fld.degree, w), GAMMA, rule)
+        alpha = global_max_signal_speed(DGField(fld.degree, w), GAMMA)
 
         def rhs(c):
             return spatial_operator(DGField(fld.degree, c), mesh, GAMMA, alpha)
