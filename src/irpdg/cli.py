@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from .euler_core import PrimitiveState, to_conserved
-from .harness import ConfigError, PROBLEMS, RunConfig, check_domain, \
-    check_state, convergence_study, emit_diagnostics_csv, \
-    emit_solution_csv, emit_table_csv, run, write_csv
+from .harness import CUSTOM_RIEMANN, ConfigError, PROBLEMS, RunConfig, \
+    convergence_study, emit_diagnostics_csv, emit_solution_csv, \
+    emit_table_csv, run, write_csv
 from .irp_limiter import LIMITER_KINDS, RegionViolationError
 from .riemann_exact import RiemannProblem, RiemannSolverError, VacuumError, \
     sample_primitives, solve_star
@@ -153,25 +153,19 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_riemann_exact(args: argparse.Namespace) -> int:
-    left = _state(args.left)
-    right = _state(args.right)
-    check_state("left", left)
-    check_state("right", right)
-    a, b = _parse_floats(args.domain, 2)
-    check_domain((a, b))
-    if not 1.0 < args.gamma < math.inf:
-        raise ConfigError(f"--gamma must be finite and > 1, got {args.gamma}")
+    cfg = RunConfig(problem=CUSTOM_RIEMANN, gamma=args.gamma,
+                    left=_state(args.left), right=_state(args.right),
+                    x0=args.x0, domain=_parse_floats(args.domain, 2))
+    cfg.validate()
     if not 0.0 < args.time < math.inf:
         raise ConfigError(f"--time must be finite and > 0, got {args.time}")
-    if not math.isfinite(args.x0):
-        raise ConfigError(f"--x0 must be finite, got {args.x0}")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
-    problem = RiemannProblem(left, right, args.gamma, args.x0)
+    problem = RiemannProblem(cfg.left, cfg.right, cfg.gamma, cfg.x0)
     star = solve_star(problem)
-    xs = np.linspace(a, b, args.samples)
-    rho, u, p = sample_primitives(problem, star, (xs - args.x0) / args.time)
-    E = to_conserved(PrimitiveState(rho, u, p), args.gamma).E
+    xs = np.linspace(*cfg.domain, args.samples)
+    rho, u, p = sample_primitives(problem, star, (xs - cfg.x0) / args.time)
+    E = to_conserved(PrimitiveState(rho, u, p), cfg.gamma).E
     path = write_csv(args.out or "riemann_exact.csv",
                      ("x", "rho", "u", "p", "E"),
                      np.stack([xs, rho, u, p, E], axis=1).tolist())

@@ -28,12 +28,16 @@ INFLOW_OUTFLOW = "inflow_outflow"
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform mesh of ``n_cells`` cells on [a, b]."""
+    """Uniform mesh of ``n_cells`` cells on [a, b].
+
+    ``inflow`` is the prescribed upstream state of an inflow_outflow mesh.
+    """
 
     a: float
     b: float
     n_cells: int
     boundary: str = PERIODIC
+    inflow: ConservedState | None = None
 
     def __post_init__(self):
         if self.n_cells < 1:
@@ -42,6 +46,8 @@ class Mesh1D:
             raise ValueError("mesh needs b > a")
         if self.boundary not in (PERIODIC, OUTFLOW, INFLOW_OUTFLOW):
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
+        if self.boundary == INFLOW_OUTFLOW and self.inflow is None:
+            raise ValueError("inflow_outflow boundary needs an inflow state")
 
     @property
     def h(self) -> float:
@@ -306,13 +312,13 @@ def _einsum_order_sum(a: np.ndarray, b: np.ndarray, lanes: int,
     return out
 
 
-def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
-                     inflow_left: ConservedState | None = None) -> np.ndarray:
+def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
+                     alpha: float) -> np.ndarray:
     """Semi-discrete DG right-hand side in modal layout; shape of ``fld.coeffs``.
 
     Volume integrals use degree+1 Gauss-Legendre points; interface fluxes are
-    global Lax-Friedrichs with the supplied alpha.  ``inflow_left`` supplies
-    the prescribed upstream state for inflow_outflow meshes.
+    global Lax-Friedrichs with the supplied alpha.  An inflow_outflow mesh
+    supplies the prescribed upstream state (``mesh.inflow``).
 
     Summation order is fixed, so results are reproducible bit for bit.  It is
     the order of the einsums the operator was first written with, on numpy
@@ -325,8 +331,6 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
     """
     if fld.n_cells != mesh.n_cells:
         raise ValueError("field and mesh cell counts differ")
-    if mesh.boundary == INFLOW_OUTFLOW and inflow_left is None:
-        raise ValueError("inflow_outflow boundary needs an inflow_left state")
     vol, at_nodes, Dq, phi_left, phi_right = _operator_tables(fld.degree)
     nq = vol.nodes.size
     n = fld.n_cells
@@ -342,7 +346,7 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
         cell = int(np.flatnonzero((rho[:nq] == 0.0).any(axis=0))[0])
         raise ZeroDivisionError(
             f"zero density at volume node of cell {cell}; limiter should have prevented this")
-    if zero or (mesh.boundary == INFLOW_OUTFLOW and inflow_left[0] == 0.0):
+    if zero or (mesh.boundary == INFLOW_OUTFLOW and mesh.inflow[0] == 0.0):
         raise ZeroDivisionError("zero density at a cell interface trace")
     _euler_flux(*nodes[:3], gamma, out=nodes[3:])
 
@@ -355,7 +359,7 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float, alpha: float,
         w[:, 0, 0] = right_edge[:, -1]
         w[:, 1, -1] = left_edge[:, 0]
     elif mesh.boundary == INFLOW_OUTFLOW:
-        w[:3, 0, :1] = np.reshape(inflow_left, (3, 1))
+        w[:3, 0, :1] = np.reshape(mesh.inflow, (3, 1))
         _euler_flux(*w[:3, 0, :1], gamma, out=w[3:, 0, :1])
         w[:, 1, -1] = right_edge[:, -1]
     else:  # outflow: ghost states copy the interior trace

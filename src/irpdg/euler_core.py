@@ -85,8 +85,10 @@ def to_primitive(w: ConservedState, gamma: float) -> PrimitiveState:
 
 
 def to_conserved(prim: PrimitiveState, gamma: float) -> ConservedState:
+    """(rho, m, E), with equal bits for floats and arrays: ``u**2`` would
+    take libm's pow on a float and numpy's square on an array."""
     rho, u, p = prim
-    return ConservedState(rho, rho * u, 0.5 * rho * u**2 + p / (gamma - 1.0))
+    return ConservedState(rho, rho * u, 0.5 * rho * (u * u) + p / (gamma - 1.0))
 
 
 def _region_mask(w: ConservedState, region: InvariantRegion, strict: bool):

@@ -86,87 +86,85 @@ class RunConfig:
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
         if self.domain is not None:
-            check_domain(self.domain)
+            a, b = self.domain
+            if not (math.isfinite(a) and math.isfinite(b) and b > a):
+                raise ConfigError(
+                    f"domain must be finite a,b with b > a, got {a},{b}")
         if self.problem == CUSTOM_RIEMANN:
             if self.left is None or self.right is None:
                 raise ConfigError("custom-riemann needs left and right states")
-            check_state("left", self.left)
-            check_state("right", self.right)
-
-
-def check_state(side: str, state: PrimitiveState) -> None:
-    """Raise ConfigError unless rho, u, p are finite with rho > 0 and p > 0."""
-    rho, u, p = state
-    if not all(math.isfinite(v) for v in (rho, u, p)):
-        raise ConfigError(f"{side} state must be finite, got {rho},{u},{p}")
-    if rho <= 0.0 or p <= 0.0:
-        raise ConfigError(f"{side} state needs positive density and "
-                          f"pressure, got {rho},{u},{p}")
-
-
-def check_domain(domain: tuple[float, float]) -> None:
-    """Raise ConfigError unless the domain is finite a, b with b > a."""
-    a, b = domain
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise ConfigError(f"domain must be finite a,b with b > a, got {a},{b}")
+            for side, (rho, u, p) in (("left", self.left),
+                                      ("right", self.right)):
+                if not all(math.isfinite(v) for v in (rho, u, p)):
+                    raise ConfigError(
+                        f"{side} state must be finite, got {rho},{u},{p}")
+                if rho <= 0.0 or p <= 0.0:
+                    raise ConfigError(f"{side} state needs positive density "
+                                      f"and pressure, got {rho},{u},{p}")
 
 
 @dataclass
 class Preset:
-    """Initial data and reference policy for one benchmark problem."""
+    """Initial data and exact density of one benchmark problem.
+
+    ``rho0``, ``u0`` and ``p0`` are the initial primitive profiles, and
+    ``w0`` the conserved state built from them.  ``exact(x, t)`` is the
+    exact density; it is None for Shu-Osher, whose reference is a
+    fine-grid run.  ``inflow`` is the upstream conserved state of an
+    inflow_outflow boundary.
+    """
 
     name: str
     domain: tuple[float, float]
     boundary: str
     default_t_final: float
+    gamma: float
     rho0: Callable[[np.ndarray], np.ndarray]
+    u0: Callable[[np.ndarray], np.ndarray]
     p0: Callable[[np.ndarray], np.ndarray]
-    w0: Callable[[np.ndarray], np.ndarray]  # x -> stacked conserved (3, n)
-    reference: str  # "exact_smooth" | "riemann" | "self"
-    riemann: RiemannProblem | None = None
-    ghost_left: ConservedState | None = None  # inflow_outflow boundaries
+    exact: Callable[[np.ndarray, float], np.ndarray] | None
+    inflow: ConservedState | None = None
+
+    def w0(self, x) -> np.ndarray:
+        """Stacked conserved initial state at x; shape (3,) + x's shape."""
+        return np.stack(to_conserved(
+            PrimitiveState(self.rho0(x), self.u0(x), self.p0(x)), self.gamma))
 
 
-def _const(v: float):
-    return lambda x: np.full_like(np.asarray(x, dtype=float), v)
+def _step(x0: float, left: float, right: float):
+    """The profile x -> left where x < x0, else right."""
+    return lambda x: np.where(np.asarray(x, dtype=float) < x0, left, right)
 
 
 def _riemann_preset(name, left, right, gamma, x0, domain, t_final) -> Preset:
     problem = RiemannProblem(left, right, gamma, x0)
-    wl = to_conserved(left, gamma)
-    wr = to_conserved(right, gamma)
+    rho0 = _step(x0, left.rho, right.rho)
 
-    def pick(x, a, b):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < x0, a, b)
+    def exact(x, t):
+        if t == 0.0:  # the exact solution at t = 0 is the initial data
+            return rho0(x)
+        return sample_conserved_at(problem, star_of(problem), x, t)[0]
 
     return Preset(
         name=name, domain=domain, boundary=OUTFLOW, default_t_final=t_final,
-        rho0=lambda x: pick(x, left.rho, right.rho),
-        p0=lambda x: pick(x, left.p, right.p),
-        w0=lambda x: np.stack([pick(x, wl.rho, wr.rho),
-                               pick(x, wl.m, wr.m),
-                               pick(x, wl.E, wr.E)]),
-        reference="riemann", riemann=problem)
+        gamma=gamma, rho0=rho0, u0=_step(x0, left.u, right.u),
+        p0=_step(x0, left.p, right.p), exact=exact)
 
 
 def preset(problem: str, gamma: float = 1.4,
            left: PrimitiveState | None = None,
            right: PrimitiveState | None = None,
-           x0: float = 0.0,
-           domain: tuple[float, float] | None = None) -> Preset:
-    """Initial data, domain, boundary kind and reference policy by name."""
+           x0: float = 0.0) -> Preset:
+    """Initial data, domain, boundary kind and exact density by name."""
     if problem == SMOOTH_ADVECTION:
-        def rho0(x):
-            return 1.0 + 0.5 * np.sin(2.0 * np.pi * np.asarray(x, dtype=float))
-
-        def w0(x):
-            return np.stack(to_conserved(PrimitiveState(rho0(x), 1.0, 1.0),
-                                         gamma))
+        def exact(x, t):
+            return 1.0 + 0.5 * np.sin(2.0 * np.pi
+                                      * (np.asarray(x, dtype=float) - t))
 
         return Preset(name=problem, domain=(0.0, 1.0), boundary=PERIODIC,
-                      default_t_final=1.0, rho0=rho0, p0=_const(1.0), w0=w0,
-                      reference="exact_smooth")
+                      default_t_final=1.0, gamma=gamma,
+                      rho0=lambda x: exact(x, 0.0), u0=np.ones_like,
+                      p0=np.ones_like, exact=exact)
     if problem == LAX:
         pl = to_primitive(ConservedState(0.445, 0.311, 8.928), gamma)
         pr = to_primitive(ConservedState(0.5, 0.0, 1.4275), gamma)
@@ -178,28 +176,17 @@ def preset(problem: str, gamma: float = 1.4,
             x = np.asarray(x, dtype=float)
             return np.where(x < -4.0, pl.rho, 1.0 + 0.2 * np.sin(5.0 * x))
 
-        def p0(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x < -4.0, pl.p, 1.0)
-
-        def u0(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x < -4.0, pl.u, 0.0)
-
-        def w0(x):
-            return np.stack(to_conserved(PrimitiveState(rho0(x), u0(x), p0(x)),
-                                         gamma))
-
         # The left state is a supersonic inflow, so the left ghost carries
         # the upstream data; plain extrapolation there drifts unstably.
         return Preset(name=problem, domain=(-5.0, 5.0), boundary=INFLOW_OUTFLOW,
-                      default_t_final=1.8, rho0=rho0, p0=p0, w0=w0,
-                      reference="self", ghost_left=to_conserved(pl, gamma))
+                      default_t_final=1.8, gamma=gamma, rho0=rho0,
+                      u0=_step(-4.0, pl.u, 0.0), p0=_step(-4.0, pl.p, 1.0),
+                      exact=None, inflow=to_conserved(pl, gamma))
     if problem == CUSTOM_RIEMANN:
         if left is None or right is None:
             raise ConfigError("custom-riemann needs left and right states")
         return _riemann_preset(problem, left, right, gamma, x0,
-                               domain or (-1.0, 1.0), 0.2)
+                               (-1.0, 1.0), 0.2)
     raise ConfigError(f"unknown problem {problem!r}")
 
 
@@ -230,9 +217,9 @@ def run(config: RunConfig) -> RunOutput:
     """Project, evolve and collect diagnostics for one configuration."""
     config.validate()
     pre = preset(config.problem, config.gamma, config.left, config.right,
-                 config.x0, config.domain)
-    domain = config.domain or pre.domain
-    mesh = Mesh1D(domain[0], domain[1], config.n_cells, pre.boundary)
+                 config.x0)
+    a, b = config.domain or pre.domain
+    mesh = Mesh1D(a, b, config.n_cells, pre.boundary, pre.inflow)
     region = build_region(pre, mesh, config.gamma, config.epsilon)
     fld = l2_project(pre.w0, mesh, config.degree)
     t_final = pre.default_t_final if config.t_final is None else config.t_final
@@ -240,21 +227,17 @@ def run(config: RunConfig) -> RunOutput:
                          cfl_fraction=config.cfl_fraction,
                          limiter_kind=config.limiter,
                          placement=config.limiter_placement)
-    result = evolve(fld, mesh, region, opts, inflow_left=pre.ghost_left)
+    result = evolve(fld, mesh, region, opts)
     return RunOutput(config=config, preset=pre, mesh=mesh, region=region,
                      result=result)
 
 
 def density_reference(out: RunOutput, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Pointwise exact density profile for presets that have one."""
-    if out.preset.reference == "exact_smooth":
-        return lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi
-                                            * (np.asarray(x, dtype=float) - t))
-    if out.preset.reference == "riemann":
-        problem = out.preset.riemann
-        star = star_of(problem)
-        return lambda x: sample_conserved_at(problem, star, x, t)[0]
-    raise ConfigError(f"preset {out.preset.name!r} has no exact reference")
+    """Pointwise exact density profile at t for presets that have one."""
+    exact = out.preset.exact
+    if exact is None:
+        raise ConfigError(f"preset {out.preset.name!r} has no exact reference")
+    return lambda x: exact(x, t)
 
 
 def shu_osher_reference_config(base: RunConfig) -> RunConfig:
@@ -318,7 +301,7 @@ def convergence_study(config: RunConfig,
         if cur != 2 * prev:
             raise ConfigError("cell counts must double between rows")
     if preset(config.problem, config.gamma, config.left, config.right,
-              config.x0, config.domain).reference == "self":
+              config.x0).exact is None:
         raise ConfigError(f"preset {config.problem!r} has no exact reference")
     base_cfl = EvolveOptions(t_final=0.0, integrator=config.integrator,
                              cfl_fraction=config.cfl_fraction).resolved_cfl()
@@ -384,20 +367,11 @@ def write_csv(path: str, header, rows) -> str:
     return path
 
 
-def emit_solution_csv(out: RunOutput, path: str,
-                      points_per_cell: int | None = None) -> str:
-    """Write sampled solution columns x,rho,u,p,E,s,q,theta_last.
-
-    Default sample points are the run's Gauss-Lobatto test nodes; an integer
-    ``points_per_cell`` switches to that many equispaced points per cell.
-    """
+def emit_solution_csv(out: RunOutput, path: str) -> str:
+    """Write columns x,rho,u,p,E,s,q,theta_last at the run's Gauss-Lobatto
+    test nodes."""
     fld = out.result.final
-    if points_per_cell is None:
-        nodes = default_rule(fld.degree).nodes
-    else:
-        if points_per_cell < 1:
-            raise ConfigError("points_per_cell must be positive")
-        nodes = np.linspace(-0.5, 0.5, points_per_cell)
+    nodes = default_rule(fld.degree).nodes
     xs = out.mesh.physical_points(nodes)  # (n_cells, n)
     vals = evaluate_at_nodes(fld, nodes)  # (n_cells, 3, n)
     rho, m, E = vals[:, 0], vals[:, 1], vals[:, 2]

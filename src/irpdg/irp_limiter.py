@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg_space import DGField, Mesh1D, _max_speed, _test_table, _values_at
+from .dg_space import DGField, _max_speed, _test_table, _values_at
 from .euler_core import InvariantRegion, gas_state
 
 LIMITER_NONE = "none"
@@ -37,11 +37,10 @@ class RegionViolationError(RuntimeError):
     the conditions of the IRP theory.
     """
 
-    def __init__(self, message: str, cell: int | None = None,
-                 step: int | None = None):
+    def __init__(self, message: str, cell: int | None = None):
         super().__init__(message)
         self.cell = cell
-        self.step = step
+        self.step: int | None = None
         self.note: str | None = None
 
 
@@ -122,7 +121,7 @@ def _ratio(num, den):
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def limit_field(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
+def limit_field(fld: DGField, region: InvariantRegion,
                 kind: str = LIMITER_IRP):
     """Limit every cell of a field; returns (limited field, report).
 

@@ -197,8 +197,7 @@ def _diagnostics(step: int, t: float, dt: float, fld: DGField,
 
 
 def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
-           opts: EvolveOptions,
-           inflow_left=None) -> EvolveResult:
+           opts: EvolveOptions) -> EvolveResult:
     """March the DG solution to t_final with limiting; collects diagnostics.
 
     The incoming field (normally a fresh L2 projection) is limited once
@@ -229,7 +228,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     multistep = opts.integrator == MS3
 
     def limit(f: DGField):
-        return limit_field(f, mesh, region, opts.limiter_kind)
+        return limit_field(f, region, opts.limiter_kind)
 
     stage_limit = None if opts.limiter_kind == LIMITER_NONE else limit
     step, t, n_steps = 0, 0.0, 0
@@ -264,7 +263,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                     f" (speed {alpha:.6g})")
 
             def rhs(f: DGField) -> np.ndarray:
-                return spatial_operator(f, mesh, gamma, alpha, inflow_left)
+                return spatial_operator(f, mesh, gamma, alpha)
 
             residual = None
             if multistep:

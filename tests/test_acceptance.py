@@ -158,7 +158,7 @@ def test_criterion_4_limiter_property_suite():
     region, coeffs = _limiter_battery(rng, 1000)
     fld = DGField(2, coeffs)
     mesh = Mesh1D(0.0, 1.0, fld.n_cells)
-    out, rep = limit_field(fld, mesh, region)
+    out, rep = limit_field(fld, region)
 
     # average preservation (exact at coefficient level)
     np.testing.assert_array_equal(out.averages(), fld.averages())
@@ -182,7 +182,7 @@ def test_criterion_4_limiter_property_suite():
     assert rep.n_activated > 50  # the battery genuinely engages the limiter
 
     # idempotence
-    again, rep2 = limit_field(out, mesh, region)
+    again, rep2 = limit_field(out, region)
     assert rep2.n_activated == 0
     np.testing.assert_array_equal(again.coeffs, out.coeffs)
     _passline(4, f"{fld.n_cells} cells, {rep.n_activated} limited, "

@@ -40,7 +40,7 @@ def oracle_flux(rho, m, E, gamma):
     return np.stack([m, m * u + p, (E + p) * u])
 
 
-def oracle_spatial_operator(fld, mesh, gamma, alpha, inflow_left=None):
+def oracle_spatial_operator(fld, mesh, gamma, alpha):
     deg = fld.degree
     vol = gauss_legendre_rule(deg + 1)
     Vq = np.ascontiguousarray(basis_values(deg, vol.nodes))
@@ -56,7 +56,7 @@ def oracle_spatial_operator(fld, mesh, gamma, alpha, inflow_left=None):
         wL = np.concatenate([trace_r[:, -1:], trace_r], axis=1)
         wR = np.concatenate([trace_l, trace_l[:, :1]], axis=1)
     elif mesh.boundary == INFLOW_OUTFLOW:
-        ghost = np.asarray(inflow_left, dtype=float).reshape(3, 1)
+        ghost = np.asarray(mesh.inflow, dtype=float).reshape(3, 1)
         wL = np.concatenate([ghost, trace_r], axis=1)
         wR = np.concatenate([trace_l, trace_r[:, -1:]], axis=1)
     else:
@@ -214,8 +214,7 @@ def density_dip_field(rng, n, degree):
 
 
 def assert_limiter_matches(fld, region, kind):
-    mesh = Mesh1D(0.0, 1.0, fld.n_cells)
-    out, rep = limit_field(fld, mesh, region, kind)
+    out, rep = limit_field(fld, region, kind)
     coeffs, expected = oracle_limit_field(fld, region, kind)
     assert np.array_equal(out.coeffs, coeffs)
     for name in REPORT_ARRAYS:
@@ -229,12 +228,11 @@ def assert_limiter_matches(fld, region, kind):
 def test_spatial_operator_bit_exact(degree, boundary):
     rng = np.random.default_rng(10 * degree + len(boundary))
     fld = random_field(rng, 64, degree, 0.2)
-    mesh = Mesh1D(-1.0, 2.0, fld.n_cells, boundary)
     ghost = to_conserved(PrimitiveState(3.857143, 2.629369, 10.3333), GAMMA) \
         if boundary == INFLOW_OUTFLOW else None
-    got = spatial_operator(fld, mesh, GAMMA, 4.7, ghost)
-    assert np.array_equal(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7,
-                                                       ghost))
+    mesh = Mesh1D(-1.0, 2.0, fld.n_cells, boundary, ghost)
+    got = spatial_operator(fld, mesh, GAMMA, 4.7)
+    assert np.array_equal(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7))
 
 
 @pytest.mark.parametrize("degree", DEGREES)
@@ -260,7 +258,7 @@ def test_limit_field_raises_on_first_failing_cell_as_before():
     for c in (31, 12):  # two active cells with a negative average pressure
         fld.coeffs[c, 2, 0] = -1.0
     with pytest.raises(RegionViolationError) as got:
-        limit_field(fld, Mesh1D(0.0, 1.0, 40), REGION)
+        limit_field(fld, REGION)
     with pytest.raises(RegionViolationError) as expected:
         oracle_limit_field(fld, REGION, LIMITER_IRP)
     assert (str(got.value), got.value.cell) == \
@@ -326,7 +324,7 @@ def test_limit_field_bit_exact_with_nonfinite_node_pressures(degree, kind):
 def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
     quiet = random_field(np.random.default_rng(6), 40, 2, 0.01)
     calls = counted_node_states(monkeypatch)
-    assert limit_field(quiet, Mesh1D(0.0, 1.0, 40), REGION)[1].n_activated == 0
+    assert limit_field(quiet, REGION)[1].n_activated == 0
     assert calls == [40]
 
     # entropy dips at one node of cells 7 and 23; every node stays in the
@@ -334,7 +332,7 @@ def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
     fld = quiet.copy()
     fld.coeffs[[7, 23]] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.5, 1.3, 0.0]]
     calls.clear()
-    _, rep = limit_field(fld, Mesh1D(0.0, 1.0, 40), REGION)
+    _, rep = limit_field(fld, REGION)
     assert np.flatnonzero(rep.activated).tolist() == [7, 23]
     assert np.isfinite(rep.theta3[[7, 23]]).all() and rep.fallback_count == 0
     assert calls == [40, 2]
@@ -348,7 +346,7 @@ def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
     fld.coeffs[20] = 0.0
     fld.coeffs[20, 0, 0], fld.coeffs[20, 2, 0] = 1e306, 2.5
     with pytest.raises(RegionViolationError) as got:
-        limit_field(fld, Mesh1D(0.0, 1.0, 40), REGION)
+        limit_field(fld, REGION)
     with pytest.raises(RegionViolationError) as expected:
         oracle_limit_field(fld, REGION, LIMITER_IRP)
     assert (str(got.value), got.value.cell) == \
@@ -524,13 +522,12 @@ def test_evaluate_at_nodes_sums_as_einsum(degree):
 def test_spatial_operator_bit_exact_at_edge_sizes(degree, boundary, n_cells):
     rng = np.random.default_rng(n_cells + 10 * degree + len(boundary))
     fld = random_field(rng, n_cells, degree, 0.2)
-    mesh = Mesh1D(-1.0, 2.0, n_cells, boundary)
     ghost = to_conserved(PrimitiveState(3.857143, 2.629369, 10.3333), GAMMA) \
         if boundary == INFLOW_OUTFLOW else None
-    got = spatial_operator(fld, mesh, GAMMA, 4.7, ghost)
+    mesh = Mesh1D(-1.0, 2.0, n_cells, boundary, ghost)
+    got = spatial_operator(fld, mesh, GAMMA, 4.7)
     assert got.flags.c_contiguous
-    assert same_bits(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7,
-                                                  ghost))
+    assert same_bits(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7))
 
 
 @pytest.mark.parametrize("n_cells", (1, 2, 2560))
@@ -558,24 +555,25 @@ def test_global_max_signal_speed_names_the_first_failing_cell():
 
 @pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW, INFLOW_OUTFLOW))
 def test_spatial_operator_zero_density_errors_as_before(boundary):
-    mesh = Mesh1D(0.0, 1.0, 20, boundary)
     ghost = ConservedState(1.0, 0.5, 2.5) \
         if boundary == INFLOW_OUTFLOW else None
+    mesh = Mesh1D(0.0, 1.0, 20, boundary, ghost)
     fld = random_field(np.random.default_rng(12), 20, 1, 0.01)
     fld.coeffs[[15, 9], 0, :] = 0.0
     with pytest.raises(ZeroDivisionError, match="volume node of cell 9;"):
-        spatial_operator(fld, mesh, GAMMA, 3.0, ghost)
+        spatial_operator(fld, mesh, GAMMA, 3.0)
     # a degree-1 density that is exactly 0 at the right edge of cell 4 and
     # positive at its volume nodes: phi_1(1/2) - phi_1(1/2) * 1
     fld = random_field(np.random.default_rng(12), 20, 1, 0.01)
     fld.coeffs[4, 0] = [basis_values(1, 0.5)[1], -1.0]
     with pytest.raises(ZeroDivisionError, match="interface trace"):
-        spatial_operator(fld, mesh, GAMMA, 3.0, ghost)
+        spatial_operator(fld, mesh, GAMMA, 3.0)
     if boundary == INFLOW_OUTFLOW:
         fld = random_field(np.random.default_rng(12), 20, 1, 0.01)
         with pytest.raises(ZeroDivisionError, match="interface trace"):
-            spatial_operator(fld, mesh, GAMMA, 3.0,
-                             ConservedState(0.0, 0.5, 2.5))
+            spatial_operator(fld, Mesh1D(0.0, 1.0, 20, boundary,
+                                         ConservedState(0.0, 0.5, 2.5)),
+                             GAMMA, 3.0)
 
 
 def test_ms3_evaluates_the_wave_speed_once_per_step(monkeypatch):
@@ -633,8 +631,8 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
     # wave speed of its field evaluated afresh
     speeds, alphas, step_starts = [], [], []
 
-    def checked_limit(fld, mesh, region, kind):
-        limited, rep = limit_field(fld, mesh, region, kind)
+    def checked_limit(fld, region, kind):
+        limited, rep = limit_field(fld, region, kind)
         if rep.max_speed is not None:
             speeds.append(rep.max_speed)
             assert rep.max_speed == global_max_signal_speed(limited,
@@ -645,12 +643,12 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
         step_starts.append(True)
         return diagnostics(*args)
 
-    def checked_operator(fld, mesh, gamma, alpha, *args):
+    def checked_operator(fld, mesh, gamma, alpha):
         if step_starts:  # the step's first operator call is on its field
             step_starts.clear()
             alphas.append(alpha)
             assert alpha == global_max_signal_speed(fld, gamma)
-        return spatial_operator(fld, mesh, gamma, alpha, *args)
+        return spatial_operator(fld, mesh, gamma, alpha)
 
     diagnostics = ti._diagnostics
     monkeypatch.setattr(ti, "limit_field", checked_limit)

@@ -1,5 +1,6 @@
 """Harness tests: presets, error norms, CSV formats, CLI behavior."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import irpdg.cli
 import irpdg.harness
 from irpdg.cli import _build_config, build_parser, main as cli_main
 from irpdg.dg_space import DGField, Mesh1D, l2_project, spatial_operator
-from irpdg.euler_core import PrimitiveState
+from irpdg.euler_core import ConservedState, PrimitiveState, to_primitive
 from irpdg.harness import (
     ConfigError,
     RunConfig,
@@ -26,8 +27,48 @@ from irpdg.harness import (
     shock_position,
     total_variation_of_density,
 )
+from irpdg.riemann_exact import RiemannProblem, sample_conserved_at, \
+    solve_star
 
 GAMMA = 1.4
+PRESET_GAMMAS = (1.4, 5.0 / 3.0, 1.2)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def preset_points(domain, x0, n=10_000):
+    """n points across the domain and past it, the edges of a 100-cell mesh,
+    x0 and its neighbours, and both zeros."""
+    a, b = domain
+    return np.concatenate([
+        np.linspace(a - 0.5, b + 0.5, n), Mesh1D(a, b, 100).edges(),
+        [x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf), 0.0, -0.0]])
+
+
+def oracle_conserved(state, gamma):
+    """(rho, m, E) of one float state, with the kinetic term as u * u."""
+    rho, u, p = state
+    return rho, rho * u, 0.5 * rho * (u * u) + p / (gamma - 1.0)
+
+
+def assert_riemann_preset_data(pre, left, right, gamma, x0, xs, sampled=None):
+    """The shock tube's data as its preset wrote them: the conserved left and
+    right states picked at x0, and the exact solver's density."""
+    pick = xs < x0
+    assert same_bits(pre.w0(xs), np.stack([
+        np.where(pick, wl, wr) for wl, wr in zip(
+            oracle_conserved(left, gamma), oracle_conserved(right, gamma))]))
+    for name, value in zip(("rho0", "u0", "p0"), zip(left, right)):
+        assert same_bits(getattr(pre, name)(xs), np.where(pick, *value))
+    assert same_bits(pre.exact(xs, 0.0), pre.rho0(xs))
+    problem = RiemannProblem(left, right, gamma, x0)
+    xs = xs[:sampled]
+    for t in (0.1, 0.5):
+        assert same_bits(pre.exact(xs, t), sample_conserved_at(
+            problem, solve_star(problem), xs, t)[0])
 
 
 class TestPresets:
@@ -42,7 +83,8 @@ class TestPresets:
 
     def test_lax_left_primitive_conversion(self):
         pre = preset("lax")
-        left = pre.riemann.left
+        left = PrimitiveState(*(float(f(-1.0))
+                                for f in (pre.rho0, pre.u0, pre.p0)))
         assert left.rho == pytest.approx(0.445, rel=1e-14)
         assert left.u == pytest.approx(0.311 / 0.445, rel=1e-14)
         assert left.p == pytest.approx(0.4 * (8.928 - 0.5 * 0.311**2 / 0.445),
@@ -55,7 +97,7 @@ class TestPresets:
         w = pre.w0(np.array([0.0, -4.5]))
         assert w[0, 0] == pytest.approx(1.0, rel=1e-14)  # 1 + 0.2 sin 0
         assert w[0, 1] == pytest.approx(3.857143, rel=1e-14)
-        assert pre.ghost_left is not None
+        assert pre.inflow is not None
         assert pre.default_t_final == 1.8
 
     def test_custom_riemann_needs_states(self):
@@ -65,6 +107,57 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("blast_wave")
+
+    @pytest.mark.parametrize("gamma", PRESET_GAMMAS)
+    def test_smooth_advection_data_as_written_per_preset(self, gamma):
+        pre = preset("smooth_advection", gamma)
+        xs = preset_points(pre.domain, 0.0)
+        rho = 1.0 + 0.5 * np.sin(2.0 * np.pi * xs)
+        assert same_bits(pre.w0(xs), np.stack(
+            [rho, rho * 1.0, 0.5 * rho * 1.0**2 + 1.0 / (gamma - 1.0)]))
+        for t in (0.0, 0.25, 1.0):
+            assert same_bits(pre.exact(xs, t),
+                             1.0 + 0.5 * np.sin(2.0 * np.pi * (xs - t)))
+
+    @pytest.mark.parametrize("gamma", PRESET_GAMMAS)
+    def test_lax_data_as_written_per_preset(self, gamma):
+        pre = preset("lax", gamma)
+        left = to_primitive(ConservedState(0.445, 0.311, 8.928), gamma)
+        right = to_primitive(ConservedState(0.5, 0.0, 1.4275), gamma)
+        # the presets' velocities square to the same bits through pow
+        assert left.u**2 == left.u * left.u
+        assert_riemann_preset_data(pre, left, right, gamma, 0.0,
+                                   preset_points(pre.domain, 0.0))
+
+    @pytest.mark.parametrize("gamma", PRESET_GAMMAS)
+    def test_shu_osher_data_as_written_per_preset(self, gamma):
+        pre = preset("shu_osher", gamma)
+        xs = preset_points(pre.domain, -4.0)
+        inflow = xs < -4.0
+        rho = np.where(inflow, 3.857143, 1.0 + 0.2 * np.sin(5.0 * xs))
+        u = np.where(inflow, 2.629369, 0.0)
+        p = np.where(inflow, 10.3333, 1.0)
+        assert 2.629369**2 == 2.629369 * 2.629369
+        assert same_bits(pre.w0(xs), np.stack(
+            [rho, rho * u, 0.5 * rho * u**2 + p / (gamma - 1.0)]))
+        assert same_bits(np.array(pre.inflow), np.array(
+            oracle_conserved(PrimitiveState(3.857143, 2.629369, 10.3333),
+                             gamma)))
+        assert pre.exact is None
+
+    def test_custom_riemann_data_as_written_per_preset(self):
+        rng = np.random.default_rng(23)
+        for _ in range(1000):
+            gamma = float(rng.choice(PRESET_GAMMAS))
+            left, right = (PrimitiveState(rng.uniform(0.5, 5.0),
+                                          rng.uniform(-0.5, 0.5),
+                                          rng.uniform(0.5, 5.0))
+                           for _ in range(2))
+            x0 = rng.uniform(-0.5, 0.5)
+            pre = preset("custom-riemann", gamma, left, right, x0)
+            assert_riemann_preset_data(pre, left, right, gamma, x0,
+                                       preset_points(pre.domain, x0, 40),
+                                       sampled=8)
 
 
 class TestRunConfigValidation:
@@ -230,15 +323,6 @@ class TestCsvOutput:
             vals = [float(tok) for tok in line.split(",")]
             assert ",".join(f"{v:.12g}" for v in vals) == line
 
-    def test_solution_csv_equispaced(self, tmp_path):
-        cfg = RunConfig(problem="smooth_advection", degree=1, n_cells=4,
-                        t_final=0.0)
-        out = run(cfg)
-        path = emit_solution_csv(out, str(tmp_path / "sol.csv"),
-                                 points_per_cell=5)
-        lines = open(path).read().splitlines()
-        assert len(lines) == 1 + 4 * 5
-
     def test_table_csv(self, tmp_path):
         cfg = RunConfig(problem="smooth_advection", degree=1, t_final=0.05)
         rows = convergence_study(cfg, [8, 16])
@@ -343,6 +427,17 @@ class TestCli:
         assert cli_main([*argv, "--out", str(tmp_path / "never.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_converge_at_t0_measures_the_initial_data(self, tmp_path):
+        # the exact density at t = 0 is the initial one; the command used to
+        # solve every row and then abort, "sampling requires t > 0"
+        out = str(tmp_path / "conv.csv")
+        assert cli_main(["converge", "--problem", "lax", "--cells-list",
+                         "8,16", "--tfinal", "0", "--out", out]) == 0
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["8", "16"]
+        # the jump sits on a cell edge, so only round-off is left
+        assert all(float(row[3]) < 1e-15 for row in rows)
+
     def test_converge_smoke(self, tmp_path):
         out = str(tmp_path / "conv.csv")
         code = cli_main(["converge", "--problem", "smooth_advection",
@@ -360,6 +455,21 @@ class TestCli:
         lines = open(out).read().splitlines()
         assert lines[0] == "x,rho,u,p,E"
         assert len(lines) == 51
+
+    # SHA-256 of the CSV files as the command wrote them before it took its
+    # checks from RunConfig.validate (numpy 2.4.6, x86-64)
+    @pytest.mark.parametrize("flags, digest", [
+        (["--left", "1,0,1", "--right", "0.125,0,0.1", "--time", "0.2",
+          "--domain=-1,1", "--samples", "400"],
+         "5abcb0799c70f44cd1f000480c90d4d08c524fcf04e61abe456e5f83ea4cfeed"),
+        (["--left", "0.445,0.698876404,3.527729888", "--right", "0.5,0,0.571",
+          "--time", "0.5", "--domain=-2,2", "--samples", "400"],
+         "ad8b97543f582b48963f8fc4fc32599d596847cc0789680660c122efde851ca8")],
+        ids=("sod", "lax"))
+    def test_riemann_exact_csv_keeps_its_bytes(self, flags, digest, tmp_path):
+        out = tmp_path / "rx.csv"
+        assert cli_main(["riemann-exact", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_riemann_exact_vacuum_exits_2(self, tmp_path):
         code = cli_main(["riemann-exact", "--left", "1,-5,0.1", "--right",

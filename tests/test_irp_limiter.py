@@ -22,7 +22,6 @@ from irpdg.irp_limiter import (
 
 GAMMA = 1.4
 REGION = InvariantRegion(GAMMA, s0=-1.0)
-MESH4 = Mesh1D(0.0, 1.0, 4)
 
 
 def single_cell_field(degree, rho_coeffs, m_coeffs, E_coeffs):
@@ -98,7 +97,7 @@ def oracle_theta(avg, extrema, region=REGION):
 
 def limit_one(fld, region=REGION, kind=LIMITER_IRP):
     """limit_field on a field over [0, 1]: (limited coefficients, report)."""
-    out, rep = limit_field(fld, Mesh1D(0.0, 1.0, fld.n_cells), region, kind)
+    out, rep = limit_field(fld, region, kind)
     return out.coeffs, rep
 
 
@@ -237,13 +236,13 @@ class TestCellRatios:
         with pytest.raises(RegionViolationError,
                            match=r"^average pressure inf not finite "
                                  r"\(cell 1\)$") as exc:
-            limit_field(fld, Mesh1D(0.0, 1.0, 3), region, kind)
+            limit_field(fld, region, kind)
         assert exc.value.cell == 1
 
     def test_theta_in_unit_interval(self):
         rng = np.random.default_rng(23)
         fld = random_cells(rng, 500, 2, overshoot=1.0)
-        _, rep = limit_field(fld, MESH4, REGION)
+        _, rep = limit_field(fld, REGION)
         assert rep.n_activated > 100
         assert np.all((0.0 < rep.theta) & (rep.theta <= 1.0))
 
@@ -268,7 +267,7 @@ class TestRescaling:
     def test_average_untouched_bitwise(self):
         rng = np.random.default_rng(29)
         fld = random_cells(rng, 10, 3, overshoot=5.0)
-        out, rep = limit_field(fld, MESH4, REGION)
+        out, rep = limit_field(fld, REGION)
         assert rep.n_activated > 0
         np.testing.assert_array_equal(out.averages(), fld.averages())
 
@@ -282,7 +281,7 @@ class TestLimitField:
     def test_admissible_field_untouched(self):
         rng = np.random.default_rng(31)
         fld = random_cells(rng, 20, 2, overshoot=0.01)
-        out, rep = limit_field(fld, MESH4, REGION)
+        out, rep = limit_field(fld, REGION)
         np.testing.assert_array_equal(out.coeffs, fld.coeffs)
         assert rep.n_activated == 0
         assert np.all(rep.theta == 1.0)
@@ -290,7 +289,7 @@ class TestLimitField:
     def test_none_kind_is_identity(self):
         rng = np.random.default_rng(37)
         fld = random_cells(rng, 8, 2, overshoot=10.0)
-        out, rep = limit_field(fld, MESH4, REGION, LIMITER_NONE)
+        out, rep = limit_field(fld, REGION, LIMITER_NONE)
         np.testing.assert_array_equal(out.coeffs, fld.coeffs)
         assert rep.n_activated == 0
 
@@ -308,7 +307,7 @@ class TestLimitField:
         overflow.coeffs[7] = [[1e306, 0.0, 0.0], [0.0, 0.0, 0.0],
                               [2.5e306, 0.0, 0.0]]
         for fld in (quiet, dip, entropy, overflow):
-            out, rep = limit_field(fld, MESH4, REGION, kind)
+            out, rep = limit_field(fld, REGION, kind)
             in_play = (rep.rho_min < REGION.eps) | (rep.p_min < REGION.eps)
             if kind == LIMITER_IRP:
                 in_play |= rep.q_max > Q_SLACK
@@ -325,7 +324,7 @@ class TestLimitField:
         rng = np.random.default_rng(41)
         fld = random_cells(rng, 8, 2, overshoot=10.0)
         before = fld.coeffs.copy()
-        limit_field(fld, MESH4, REGION)
+        limit_field(fld, REGION)
         np.testing.assert_array_equal(fld.coeffs, before)
 
     def test_jump_inside_cell_gets_limited(self):
@@ -343,7 +342,7 @@ class TestLimitField:
                              np.where(x < 0.02, 8.928, 1.4275)])
 
         fld = l2_project(w0, mesh, 2, n_quad=10)
-        out, rep = limit_field(fld, mesh, region)
+        out, rep = limit_field(fld, region)
         assert rep.p_min[12] < 0.0  # overshoot past the right state
         assert rep.q_max[12] == np.inf  # sentinel where positivity fails
         assert rep.activated[12]
@@ -353,15 +352,15 @@ class TestLimitField:
         assert p.min() >= region.eps
         assert q.max() <= Q_SLACK
         # single-pass sufficiency on this concrete cell
-        again, rep2 = limit_field(out, mesh, region)
+        again, rep2 = limit_field(out, region)
         assert rep2.n_activated == 0
         np.testing.assert_array_equal(again.coeffs, out.coeffs)
 
     def test_single_pass_sufficiency(self):
         rng = np.random.default_rng(43)
         fld = random_cells(rng, 50, 2, overshoot=2.0)
-        once, rep1 = limit_field(fld, MESH4, REGION)
-        twice, rep2 = limit_field(once, MESH4, REGION)
+        once, rep1 = limit_field(fld, REGION)
+        twice, rep2 = limit_field(once, REGION)
         assert rep1.n_activated > 0  # the overshoots actually engage it
         assert rep2.n_activated == 0
         np.testing.assert_array_equal(once.coeffs, twice.coeffs)
@@ -369,7 +368,7 @@ class TestLimitField:
     def test_monotone_inclusion_below_theta(self):
         rng = np.random.default_rng(47)
         fld = random_cells(rng, 30, 2, overshoot=2.0)
-        out, rep = limit_field(fld, MESH4, REGION)
+        out, rep = limit_field(fld, REGION)
         shrunk = out.copy()
         # any further shrink toward the (interior) average stays admissible
         shrunk.coeffs[:, :, 1:] *= rng.uniform(0.0, 1.0, (30, 1, 1))
@@ -389,7 +388,7 @@ class TestLimitField:
         compared = 0
         for overshoot in (1.5, 0.3):  # sentinel-heavy and finite-q-heavy
             fld = random_cells(rng, 40, 3, overshoot=overshoot)
-            out, rep = limit_field(fld, MESH4, REGION)
+            out, rep = limit_field(fld, REGION)
             V = basis_values(3, rule.nodes)
             for c in range(40):
                 extrema = oracle_extrema(fld, c)
@@ -418,8 +417,7 @@ class TestLimitField:
         # strong entropy overshoot but positive rho, p everywhere
         fld = single_cell_field(2, [2.0, 0.3], [0.0], [3.0, -1.2])
         region = InvariantRegion(GAMMA, s0=-0.2)
-        out, rep = limit_field(fld, MESH4.__class__(0.0, 1.0, 1), region,
-                               LIMITER_POSITIVITY)
+        out, rep = limit_field(fld, region, LIMITER_POSITIVITY)
         assert rep.q_max[0] > Q_SLACK
         np.testing.assert_array_equal(out.coeffs, fld.coeffs)
         assert rep.n_activated == 0

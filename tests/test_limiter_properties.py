@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from irpdg.dg_space import DGField, Mesh1D, basis_values, \
+from irpdg.dg_space import DGField, basis_values, \
     default_rule  # noqa: E402
 from irpdg.euler_core import InvariantRegion, PrimitiveState, \
     to_conserved  # noqa: E402
@@ -48,7 +48,7 @@ def fields(draw):
 
 
 def limit(fld, kind):
-    return limit_field(fld, Mesh1D(0.0, 1.0, fld.n_cells), REGION, kind)
+    return limit_field(fld, REGION, kind)
 
 
 @given(fields(), KINDS)

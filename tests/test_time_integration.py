@@ -210,7 +210,7 @@ class TestEvolve:
         res = evolve(fld, mesh, region, EvolveOptions(t_final=0.0))
         assert len(res.diagnostics) == 1
         from irpdg.irp_limiter import limit_field
-        expected, _ = limit_field(fld, mesh, region)
+        expected, _ = limit_field(fld, region)
         np.testing.assert_array_equal(res.final.coeffs, expected.coeffs)
 
     def test_smooth_advection_error_magnitude(self):
@@ -272,7 +272,7 @@ class TestEvolve:
         fld, mesh, region = build_smooth_problem(16)
         res = evolve(fld, mesh, region,
                      EvolveOptions(t_final=0.0, integrator="ms3"))
-        expected, rep = limit_field(fld, mesh, region)
+        expected, rep = limit_field(fld, region)
         np.testing.assert_array_equal(res.final.coeffs, expected.coeffs)
         np.testing.assert_array_equal(res.theta_last, rep.theta)
         assert [(d.step, d.t, d.dt) for d in res.diagnostics] == [(0, 0.0, 0.0)]
