@@ -30,7 +30,8 @@ INFLOW_OUTFLOW = "inflow_outflow"
 class Mesh1D:
     """Uniform mesh of ``n_cells`` cells on [a, b].
 
-    ``inflow`` is the prescribed upstream state of an inflow_outflow mesh.
+    ``inflow`` is the prescribed upstream state of an inflow_outflow mesh,
+    and only of one.
     """
 
     a: float
@@ -48,6 +49,9 @@ class Mesh1D:
             raise ValueError(f"unknown boundary kind {self.boundary!r}")
         if self.boundary == INFLOW_OUTFLOW and self.inflow is None:
             raise ValueError("inflow_outflow boundary needs an inflow state")
+        if self.boundary != INFLOW_OUTFLOW and self.inflow is not None:
+            raise ValueError("an inflow state needs an inflow_outflow "
+                             f"boundary, not {self.boundary!r}")
 
     @property
     def h(self) -> float:
@@ -124,16 +128,9 @@ def basis_values(degree: int, xi) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _test_table(degree: int) -> np.ndarray:
-    """``basis_values`` at the degree's test nodes, read-only; (n, degree+1).
-
-    Kept in that layout, where ``V.T`` is C-contiguous: it does not change
-    ``_values_at``'s bits, but over a C-contiguous copy the P2 wave speed
-    took 2.1x as long at 100 cells and 4.6x at 2560, and ``limit_field``
-    1.5x and 3.2x (2-vCPU Xeon VM, numpy 2.4).
-    """
-    V = basis_values(degree, default_rule(degree).nodes)
-    V.flags.writeable = False
-    return V
+    """``basis_values`` at the degree's test nodes; (n, degree+1), C order
+    and read-only: the layout ``_values_at`` reads a table in."""
+    return _frozen(basis_values(degree, default_rule(degree).nodes))
 
 
 def basis_derivatives(degree: int, xi) -> np.ndarray:
@@ -154,26 +151,36 @@ class DGField:
 
     ``coeffs`` has shape (n_cells, 3, degree+1); coefficient 0 equals the
     cell average because the basis is orthonormal with a constant mode of 1.
+    It is stored mode-major, as a view of one C-contiguous (degree+1, 3,
+    n_cells) block: ``coeffs.T`` holds each mode of each variable as one
+    contiguous row of cells.  Arithmetic on two such arrays keeps the
+    layout, and ``tobytes()`` reads (cell, variable, mode) order as from any
+    array of the shape.
     """
 
     degree: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (3, self.degree + 1):
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim != 3 or c.shape[1:] != (3, self.degree + 1):
             raise ValueError("coeffs must have shape (n_cells, 3, degree+1)")
+        self.coeffs = np.ascontiguousarray(c.T).T  # no copy if mode-major
 
     @property
     def n_cells(self) -> int:
         return self.coeffs.shape[0]
 
     def copy(self) -> "DGField":
-        return DGField(self.degree, self.coeffs.copy())
+        return DGField(self.degree, self.coeffs.copy(order="K"))
 
     def averages(self) -> np.ndarray:
-        """Cell averages of (rho, m, E); shape (n_cells, 3). Exact, not a quadrature."""
-        return self.coeffs[:, :, 0]
+        """Cell averages of (rho, m, E); shape (n_cells, 3), C-contiguous.
+
+        Exact, not a quadrature.  A copy: summed over the cells, a strided
+        view would add in another order.
+        """
+        return np.ascontiguousarray(self.coeffs[:, :, 0])
 
 
 def evaluate_at_nodes(fld: DGField, xi_nodes) -> np.ndarray:
@@ -216,16 +223,19 @@ def l2_project(w0: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D,
 def _values_at(coeffs: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cell polynomials at a basis table's nodes; (3, n_nodes, n_cells).
 
-    One broadcast multiply over the mode-major view ``coeffs.T`` and a sum
-    over the modes left to right from +0: ``einsum("cvj,nj->cvn")``'s order
-    over ``basis_values``' strided mode axis, bit for bit on numpy 2.4
-    through degree 6, except over one node, where einsum sums otherwise
-    from degree 2 on.  The sum comes out with the variable axis fastest;
-    the C-order copy makes each variable one contiguous block, which the
-    elementwise passes after it run faster on.
+    One einsum over the mode-major block ``coeffs.T`` (copied only from a
+    gather of cells, which numpy lays out cell-major) and ``V.T``, into a
+    C-order result, one block per variable.  It sums each value over the
+    modes left to right from +0, as the broadcast multiply and sum it
+    replaced did, and so as ``einsum("cvj,nj->cvn")`` over ``basis_values``'
+    strided mode axis: bit for bit on numpy 2.4 through degree 6, except
+    over one node, where that einsum sums otherwise from degree 2 on.  Any
+    layout of ``V`` gives these bits; over a C-order ``V`` (``_test_table``)
+    the P2 kernel takes half the time at 2560 cells.
     """
-    return np.ascontiguousarray(
-        np.add.reduce(coeffs.T[:, :, None, :] * V.T[:, None, :, None]))
+    out = np.empty((3, V.shape[0], coeffs.shape[0]))
+    return np.einsum("jvc,jn->vnc", np.ascontiguousarray(coeffs.T), V.T,
+                     out=out)
 
 
 def _max_speed(rho: np.ndarray, m: np.ndarray, p: np.ndarray,
@@ -314,17 +324,19 @@ def _einsum_order_sum(a: np.ndarray, b: np.ndarray, lanes: int,
 
 def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
                      alpha: float) -> np.ndarray:
-    """Semi-discrete DG right-hand side in modal layout; shape of ``fld.coeffs``.
+    """Semi-discrete DG right-hand side; shape and mode-major layout of
+    ``fld.coeffs`` (a transposed view of one (k, 3, n_cells) block).
 
     Volume integrals use degree+1 Gauss-Legendre points; interface fluxes are
     global Lax-Friedrichs with the supplied alpha.  An inflow_outflow mesh
     supplies the prescribed upstream state (``mesh.inflow``).
 
     Summation order is fixed, so results are reproducible bit for bit.  It is
-    the order of the einsums the operator was first written with, on numpy
-    2.4 and through degree 6: each contraction is a broadcast multiply over
-    the mode-major view ``fld.coeffs.T`` and a sum over the contracted axis.
-    The values at the volume nodes and both edges (``einsum("cvj,qj->vcq")``
+    the order of the einsums the operator was first written with over
+    C-order coefficients, on numpy 2.4 and through degree 6: each
+    contraction is a broadcast multiply over one contiguous mode block of
+    ``fld.coeffs.T`` at a time and a sum over the contracted axis.  The
+    values at the volume nodes and both edges (``einsum("cvj,qj->vcq")``
     and ``einsum("cvj,j->vc")``, over a contiguous mode axis) sum in two
     lanes (``_einsum_order_sum``); the volume term
     (``einsum("vcq,qj->cvj", F * w, Dq)``) sums the nodes left to right.
@@ -377,5 +389,5 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
                       tmp=np.empty_like(resid))
     resid -= fluxes[:, 1:] * phi_right
     resid += fluxes[:, :-1] * phi_left
-    # the last pass also lays the result out as fld.coeffs, (n_cells, 3, k)
-    return np.divide(resid.T, mesh.h, out=np.empty_like(fld.coeffs))
+    resid /= mesh.h
+    return resid.T  # mode-major, as fld.coeffs

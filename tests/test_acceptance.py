@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from irpdg.dg_space import Mesh1D, basis_values, default_rule
+from irpdg.dg_space import basis_values, default_rule
 from irpdg.euler_core import ConservedState, InvariantRegion, PrimitiveState, \
     in_region, in_region_interior, to_conserved
 from irpdg.harness import (
@@ -157,7 +157,6 @@ def test_criterion_4_limiter_property_suite():
     rng = np.random.default_rng(101)
     region, coeffs = _limiter_battery(rng, 1000)
     fld = DGField(2, coeffs)
-    mesh = Mesh1D(0.0, 1.0, fld.n_cells)
     out, rep = limit_field(fld, region)
 
     # average preservation (exact at coefficient level)

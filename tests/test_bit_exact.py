@@ -47,11 +47,14 @@ def oracle_spatial_operator(fld, mesh, gamma, alpha):
     Dq = np.ascontiguousarray(basis_derivatives(deg, vol.nodes))
     phi_left = basis_values(deg, -0.5)
     phi_right = basis_values(deg, 0.5)
-    vals = np.einsum("cvj,qj->vcq", fld.coeffs, Vq)
+    # einsum's order depends on the layout: the C-order arithmetic the
+    # operator was pinned to, whatever the field's storage
+    coeffs = np.ascontiguousarray(fld.coeffs)
+    vals = np.einsum("cvj,qj->vcq", coeffs, Vq)
     F = oracle_flux(*vals, gamma)
     volume = np.einsum("vcq,q,qj->cvj", F, vol.weights, Dq)
-    trace_l = np.einsum("cvj,j->vc", fld.coeffs, phi_left)
-    trace_r = np.einsum("cvj,j->vc", fld.coeffs, phi_right)
+    trace_l = np.einsum("cvj,j->vc", coeffs, phi_left)
+    trace_r = np.einsum("cvj,j->vc", coeffs, phi_right)
     if mesh.boundary == PERIODIC:
         wL = np.concatenate([trace_r[:, -1:], trace_r], axis=1)
         wR = np.concatenate([trace_l, trace_l[:, :1]], axis=1)
@@ -410,9 +413,19 @@ def test_identical_runs_give_identical_bits(config):
 # and sums in einsum's order (``dg_space._einsum_order_sum``, ``_values_at``);
 # the tests below pin each to the einsum it replaced, over the layouts the
 # einsums saw: contiguous Vq, Dq and traces, and ``basis_values``' own.
+# Their coefficients were C-order; the kernels must give the same bits on
+# that layout and on the mode-major one a DGField stores.
 
 KERNEL_DEGREES = tuple(range(7))
 KERNEL_SIZES = (1, 2, 3, 2560)
+LAYOUTS = ("c_order", "mode_major")
+
+
+def in_layout(coeffs, layout):
+    """A copy of ``coeffs`` stored C-contiguous or mode-major (as DGField)."""
+    if layout == "c_order":
+        return np.array(coeffs, order="C")
+    return np.ascontiguousarray(coeffs.T).T
 
 
 def same_bits(got, expected):
@@ -428,7 +441,9 @@ def spread_values(rng, shape):
 
 
 def assert_kernels_match_einsum(coeffs, F):
-    """Node values and traces, volume term and wave-speed node values."""
+    """Node values and traces, volume term and wave-speed node values; the
+    einsums take a C-order copy of ``coeffs``, the kernels ``coeffs``."""
+    c = np.ascontiguousarray(coeffs)
     deg = coeffs.shape[2] - 1
     n = coeffs.shape[0]
     vol, at_nodes, Dq_table, _, _ = _operator_tables(deg)
@@ -440,11 +455,11 @@ def assert_kernels_match_einsum(coeffs, F):
     _einsum_order_sum(coeffs.T[:, :, None, :], at_nodes, 2, out=vals,
                       tmp=np.empty_like(vals))
     assert same_bits(vals[:, :nq].transpose(0, 2, 1),
-                     np.einsum("cvj,qj->vcq", coeffs, Vq))
+                     np.einsum("cvj,qj->vcq", c, Vq))
     assert same_bits(vals[:, nq],
-                     np.einsum("cvj,j->vc", coeffs, basis_values(deg, -0.5)))
+                     np.einsum("cvj,j->vc", c, basis_values(deg, -0.5)))
     assert same_bits(vals[:, nq + 1],
-                     np.einsum("cvj,j->vc", coeffs, basis_values(deg, 0.5)))
+                     np.einsum("cvj,j->vc", c, basis_values(deg, 0.5)))
 
     Fw = F * vol.weights  # (3, n, nq), as the flux was laid out
     volume = np.empty((deg + 1, 3, n))
@@ -457,34 +472,41 @@ def assert_kernels_match_einsum(coeffs, F):
                  gauss_legendre_rule(deg + 1)):
         V = basis_values(deg, rule.nodes)
         assert same_bits(_values_at(coeffs, V).transpose(2, 0, 1),
-                         np.einsum("cvj,nj->cvn", coeffs, V))
+                         np.einsum("cvj,nj->cvn", c, V))
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n_cells", KERNEL_SIZES)
 @pytest.mark.parametrize("degree", KERNEL_DEGREES)
-def test_kernels_sum_in_einsums_order(degree, n_cells):
+def test_kernels_sum_in_einsums_order(degree, n_cells, layout):
     rng = np.random.default_rng(100 * degree + n_cells)
     coeffs = spread_values(rng, (n_cells, 3, degree + 1))
     F = spread_values(rng, (3, n_cells, degree + 1))
-    assert_kernels_match_einsum(coeffs, F)
+    assert_kernels_match_einsum(in_layout(coeffs, layout), F)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n_cells", KERNEL_SIZES)
 @pytest.mark.parametrize("degree", KERNEL_DEGREES)
-def test_limiter_node_values_sum_in_einsums_order(degree, n_cells):
+def test_limiter_node_values_sum_in_einsums_order(degree, n_cells, layout):
     # the limiter took its node values with einsum("cvj,nj->vcn") over its
-    # test-set table, on the whole field and on the rows of the cells in play
+    # test-set table, then in basis_values' layout, on the whole field and
+    # on the rows of the cells in play
     rng = np.random.default_rng(1000 + 100 * degree + n_cells)
     coeffs = spread_values(rng, (n_cells, 3, degree + 1))
-    V = _test_table(degree)
+    stored = in_layout(coeffs, layout)
+    table = _test_table(degree)
+    V = basis_values(degree, default_rule(degree).nodes)
     rows = np.sort(rng.choice(n_cells, max(1, n_cells // 3), replace=False))
-    for c in (coeffs, coeffs[rows], coeffs[rows[-1:]]):
-        assert same_bits(_values_at(c, V).transpose(0, 2, 1),
-                         np.einsum("cvj,nj->vcn", c, V))
+    for c, ref in ((stored, coeffs), (stored[rows], coeffs[rows]),
+                   (stored[rows[-1:]], coeffs[rows[-1:]])):
+        assert same_bits(_values_at(c, table).transpose(0, 2, 1),
+                         np.einsum("cvj,nj->vcn", ref, V))
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("degree", KERNEL_DEGREES)
-def test_kernels_sum_signed_zeros_as_einsum(degree):
+def test_kernels_sum_signed_zeros_as_einsum(degree, layout):
     # einsum's partial sums start from +0, so a sum of -0 terms is +0
     rng = np.random.default_rng(degree)
     coeffs = spread_values(rng, (12, 3, degree + 1))
@@ -495,24 +517,27 @@ def test_kernels_sum_signed_zeros_as_einsum(degree):
     F = spread_values(rng, (3, 12, degree + 1))
     F[1, [0, 3]] = -0.0
     F[2, 6] = 0.0
-    assert_kernels_match_einsum(coeffs, F)
+    assert_kernels_match_einsum(in_layout(coeffs, layout), F)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("degree", KERNEL_DEGREES)
-def test_evaluate_at_nodes_sums_as_einsum(degree):
+def test_evaluate_at_nodes_sums_as_einsum(degree, layout):
     # evaluate_at_nodes was this einsum over a fresh basis table; over a
     # one-node table einsum sums otherwise from degree 2 on
     rng = np.random.default_rng(2000 + degree)
-    fld = DGField(degree, spread_values(rng, (40, 3, degree + 1)))
-    fld.coeffs[[3, 11], 1] = -0.0
-    fld.coeffs[[5, 20], 0] = 0.0
-    fld.coeffs[8] = -0.0
-    fld.coeffs[17, :, ::2] = -0.0
+    coeffs = spread_values(rng, (40, 3, degree + 1))
+    coeffs[[3, 11], 1] = -0.0
+    coeffs[[5, 20], 0] = 0.0
+    coeffs[8] = -0.0
+    coeffs[17, :, ::2] = -0.0
+    fld = DGField(degree, coeffs)
+    fld.coeffs = in_layout(coeffs, layout)  # past the mode-major default
     for nodes in (gauss_legendre_rule(degree + 1).nodes,
                   default_rule(degree).nodes, gauss_lobatto_rule(4).nodes,
                   np.linspace(-0.5, 0.5, 5)):
         assert same_bits(evaluate_at_nodes(fld, nodes),
-                         np.einsum("cvj,nj->cvn", fld.coeffs,
+                         np.einsum("cvj,nj->cvn", coeffs,
                                    basis_values(degree, nodes)))
 
 
@@ -526,7 +551,7 @@ def test_spatial_operator_bit_exact_at_edge_sizes(degree, boundary, n_cells):
         if boundary == INFLOW_OUTFLOW else None
     mesh = Mesh1D(-1.0, 2.0, n_cells, boundary, ghost)
     got = spatial_operator(fld, mesh, GAMMA, 4.7)
-    assert got.flags.c_contiguous
+    assert got.T.flags.c_contiguous
     assert same_bits(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7))
 
 

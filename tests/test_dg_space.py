@@ -8,6 +8,7 @@ from irpdg.dg_space import (
     INFLOW_OUTFLOW,
     Mesh1D,
     OUTFLOW,
+    PERIODIC,
     basis_values,
     evaluate_at_nodes,
     evaluate_at_x,
@@ -265,6 +266,12 @@ class TestSpatialOperator:
         # checked where the mesh is built, not at the first operator call
         with pytest.raises(ValueError, match="needs an inflow state"):
             Mesh1D(-1.0, 1.0, 4, boundary=INFLOW_OUTFLOW)
+
+    @pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW))
+    def test_inflow_state_needs_an_inflow_boundary(self, boundary):
+        # a state the operator would ignore: the caller meant another kind
+        with pytest.raises(ValueError, match="needs an inflow_outflow"):
+            Mesh1D(0.0, 1.0, 4, boundary, ConservedState(1.0, 0.0, 1.0))
 
     def test_zero_density_reports_cell(self):
         mesh = Mesh1D(0.0, 1.0, 4)

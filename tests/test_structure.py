@@ -1,7 +1,8 @@
 """Structure the package keeps: one ideal-gas closure, one test set, one node
 kernel, one wave-speed formula, one step-record site, bounded caches and
-buffers, a public namespace of what the README imports, and layer functions
-looked up through module globals."""
+buffers, a public namespace of what the README imports, layer functions
+looked up through module globals, and mode-major coefficients along the
+step path."""
 
 import importlib
 import inspect
@@ -63,12 +64,12 @@ def test_only_dg_space_builds_the_test_set():
 
 
 @pytest.mark.parametrize("degree", range(7))
-def test_the_test_table_keeps_the_layout_of_basis_values(degree):
-    # V.T C-contiguous: the layout does not change _values_at's bits, but
-    # over a C-contiguous copy of the table the P2 wave speed took 2.1x as
-    # long at 100 cells and 4.6x at 2560, and limit_field 1.5x and 3.2x
+def test_the_test_table_is_c_order(degree):
+    # _values_at reads the table's mode axis contiguous: the layout does not
+    # change its bits, but over basis_values' own layout the P2 wave speed
+    # took 1.5x as long at 2560 cells and limit_field 1.26x
     V = irpdg.dg_space._test_table(degree)
-    assert V.T.flags.c_contiguous and not V.flags.writeable
+    assert V.flags.c_contiguous and not V.flags.writeable
 
 
 def test_the_sound_speed_is_written_once():
@@ -137,3 +138,33 @@ def test_run_reaches_every_layer_through_its_module_global(monkeypatch,
     irpdg.harness.run(config)
     assert set(calls) == {name for names in PATCH_POINTS.values()
                           for name in names}, calls
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(problem="lax", n_cells=20, t_final=0.02),
+    RunConfig(problem="shu_osher", n_cells=32, t_final=0.02),
+    RunConfig(problem="smooth_advection", degree=3, n_cells=16,
+              integrator="ms3", limiter_placement="per_step", t_final=0.02)],
+    ids=("lax", "shu_osher", "advection_ms3"))
+def test_the_step_path_keeps_coefficients_mode_major(monkeypatch, config):
+    # a stray C-order copy keeps every bit and costs the layout's speed, so
+    # no other test would fail for it
+    seen = {}  # per function: (input mode-major, output mode-major) per call
+
+    def checked(name, fn):
+        def wrapped(fld, *args):
+            result = fn(fld, *args)
+            out = result[0].coeffs if name == "limit_field" else result
+            seen.setdefault(name, []).append(
+                (fld.coeffs.T.flags.c_contiguous, out.T.flags.c_contiguous))
+            return result
+        return wrapped
+
+    ti = irpdg.time_integration
+    for name in ("spatial_operator", "limit_field"):
+        monkeypatch.setattr(ti, name, checked(name, getattr(ti, name)))
+    final = irpdg.harness.run(config).result.final
+    assert set(seen) == {"spatial_operator", "limit_field"}
+    assert all(all(call) for calls in seen.values() for call in calls), seen
+    assert final.coeffs.T.flags.c_contiguous
+    assert final.averages().flags.c_contiguous
