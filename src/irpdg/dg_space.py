@@ -186,7 +186,7 @@ class DGField:
 def evaluate_at_nodes(fld: DGField, xi_nodes) -> np.ndarray:
     """Values of every cell polynomial at shared reference nodes; (n_cells, 3, n)."""
     V = basis_values(fld.degree, np.atleast_1d(xi_nodes))
-    return _values_at(fld.coeffs, V).transpose(2, 0, 1)
+    return _values_at(fld.coeffs.T, V).transpose(2, 0, 1)
 
 
 def evaluate_at_x(fld: DGField, mesh: Mesh1D, x) -> np.ndarray:
@@ -220,22 +220,21 @@ def l2_project(w0: Callable[[np.ndarray], np.ndarray], mesh: Mesh1D,
     return DGField(degree, coeffs)
 
 
-def _values_at(coeffs: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _values_at(modes: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cell polynomials at a basis table's nodes; (3, n_nodes, n_cells).
 
-    One einsum over the mode-major block ``coeffs.T`` (copied only from a
-    gather of cells, which numpy lays out cell-major) and ``V.T``, into a
-    C-order result, one block per variable.  It sums each value over the
-    modes left to right from +0, as the broadcast multiply and sum it
-    replaced did, and so as ``einsum("cvj,nj->cvn")`` over ``basis_values``'
+    ``modes`` is a C-contiguous mode-major block (k, 3, n_cells), such as
+    ``DGField.coeffs.T``.  One einsum over it and ``V.T``, into a C-order
+    result, one block per variable.  It sums each value over the modes
+    left to right from +0, as the broadcast multiply and sum it replaced
+    did, and so as ``einsum("cvj,nj->cvn")`` over ``basis_values``'
     strided mode axis: bit for bit on numpy 2.4 through degree 6, except
     over one node, where that einsum sums otherwise from degree 2 on.  Any
     layout of ``V`` gives these bits; over a C-order ``V`` (``_test_table``)
     the P2 kernel takes half the time at 2560 cells.
     """
-    out = np.empty((3, V.shape[0], coeffs.shape[0]))
-    return np.einsum("jvc,jn->vnc", np.ascontiguousarray(coeffs.T), V.T,
-                     out=out)
+    out = np.empty((3, V.shape[0], modes.shape[2]))
+    return np.einsum("jvc,jn->vnc", modes, V.T, out=out)
 
 
 def _max_speed(rho: np.ndarray, m: np.ndarray, p: np.ndarray,
@@ -249,7 +248,7 @@ def _max_speed(rho: np.ndarray, m: np.ndarray, p: np.ndarray,
 
 def global_max_signal_speed(fld: DGField, gamma: float) -> float:
     """Max of |u| + c over all cells at the test nodes (``default_rule``)."""
-    rho, m, E = _values_at(fld.coeffs, _test_table(fld.degree))
+    rho, m, E = _values_at(fld.coeffs.T, _test_table(fld.degree))
     bad = rho <= 0.0
     if bad.any():
         cell = int(np.flatnonzero(bad.any(axis=0))[0])

@@ -21,7 +21,7 @@ from .dg_space import DGField, INFLOW_OUTFLOW, Mesh1D, OUTFLOW, PERIODIC, \
 from .euler_core import ConservedState, InvariantRegion, PrimitiveState, \
     entropy_floor_from_initial, gas_state, to_conserved, to_primitive
 from .irp_limiter import LIMITER_IRP, LIMITER_KINDS
-from .riemann_exact import RiemannProblem, sample_conserved_at, star_of
+from .riemann_exact import RiemannProblem, sample_primitives, star_of
 from .time_integration import EvolveOptions, EvolveResult, MS3, PER_STAGE, \
     PER_STEP, RK3, StepDiagnostics, evolve
 
@@ -87,9 +87,9 @@ class RunConfig:
             raise ConfigError("epsilon must be positive")
         if self.domain is not None:
             a, b = self.domain
-            if not (math.isfinite(a) and math.isfinite(b) and b > a):
-                raise ConfigError(
-                    f"domain must be finite a,b with b > a, got {a},{b}")
+            if not (math.isfinite(b - a) and b > a):
+                raise ConfigError(f"domain must be finite a,b with b > a "
+                                  f"and a finite width, got {a},{b}")
         if self.problem == CUSTOM_RIEMANN:
             if self.left is None or self.right is None:
                 raise ConfigError("custom-riemann needs left and right states")
@@ -143,7 +143,10 @@ def _riemann_preset(name, left, right, gamma, x0, domain, t_final) -> Preset:
     def exact(x, t):
         if t == 0.0:  # the exact solution at t = 0 is the initial data
             return rho0(x)
-        return sample_conserved_at(problem, star_of(problem), x, t)[0]
+        if t < 0.0:
+            raise ValueError(f"the exact solution needs t >= 0, got {t}")
+        xi = (np.asarray(x, dtype=float) - x0) / t
+        return sample_primitives(problem, star_of(problem), xi)[0]
 
     return Preset(
         name=name, domain=domain, boundary=OUTFLOW, default_t_final=t_final,

@@ -86,9 +86,11 @@ class FieldLimiterReport:
         return int(np.count_nonzero(np.isfinite(self.theta3)))
 
 
-def _node_states(coeffs: np.ndarray, region: InvariantRegion,
+def _node_states(modes: np.ndarray, region: InvariantRegion,
                  V: np.ndarray):
     """(rho, m, p, q) at the test nodes of each cell, each (n_nodes, n_cells).
+
+    ``modes`` is a C-contiguous mode-major block (k, 3, n_cells).
 
     p comes straight from the formula and may be nan or inf.  q is the
     entropy functional, meaningful only where rho > 0 and p > 0; each
@@ -97,7 +99,7 @@ def _node_states(coeffs: np.ndarray, region: InvariantRegion,
     variable.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho, m, E = _values_at(coeffs, V)
+        rho, m, E = _values_at(modes, V)
         p, _, q = gas_state(rho, m, E, region)
     return rho, m, p, q
 
@@ -164,7 +166,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
         raise ValueError(f"unknown limiter kind {kind!r}")
     n = fld.n_cells
     V = _test_table(fld.degree)
-    rho_n, m_n, p_n, q_n = _node_states(fld.coeffs, region, V)
+    rho_n, m_n, p_n, q_n = _node_states(fld.coeffs.T, region, V)
     # the report counts a non-finite p as -inf, and q outside the positive
     # cone (rho > 0 and p finite and > 0) as +inf
     p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
@@ -203,9 +205,9 @@ def limit_field(fld: DGField, region: InvariantRegion,
            np.minimum.reduce(np.where(rho_n > 0.0, p_n, np.inf), axis=0),
            np.maximum.reduce(np.where(np.isfinite(q_n), q_n, -np.inf), axis=0))
 
-    coeffs = out.coeffs
-    rho_avg, m_avg, E_avg = np.ascontiguousarray(coeffs[live, :, 0].T)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    modes = out.coeffs.T  # mode-major: (k, 3, n), C-contiguous
+    rho_avg, m_avg, E_avg = modes[0][:, live]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_avg, _, q_avg = gas_state(rho_avg, m_avg, E_avg, region)
     # The average test: rho and p strictly above eps, p finite as at the
     # nodes, and q <= Q_SLACK as at the nodes, since the region is closed
@@ -221,7 +223,8 @@ def limit_field(fld: DGField, region: InvariantRegion,
             # An admissible cell violates no constraint; otherwise take the
             # extrema over the nodes where each quantity is meaningful (see
             # the docstring).
-            rho_n, _, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
+            rho_n, _, p_n, q_n = _node_states(
+                np.take(modes, live[sel], axis=2), region, V)
             passed = _admissible(rho_n, p_n, q_n, eps, use_q)
             admissible[sel] = passed
             if passed.all():
@@ -268,10 +271,10 @@ def limit_field(fld: DGField, region: InvariantRegion,
         if flat.size:
             # inf * 0 is nan: a cell flattened to its mean drops the
             # non-finite modes (+0); the finite ones keep their signed zeros
-            modes = coeffs[flat, :, 1:]
-            modes[~np.isfinite(modes)] = 0.0
-            coeffs[flat, :, 1:] = modes
-        coeffs[c, :, 1:] *= step[:, None, None]
+            higher = modes[1:, :, flat]
+            higher[~np.isfinite(higher)] = 0.0
+            modes[1:, :, flat] = higher
+        modes[1:, :, c] *= step
         theta[c] *= step
         touched[act] = True
         # each constraint's theta takes the product of its ratios
@@ -283,7 +286,8 @@ def limit_field(fld: DGField, region: InvariantRegion,
             sel = act
     else:
         # round 2 rescaled these cells after their last pass
-        rho_n, _, p_n, q_n = _node_states(coeffs[live[sel]], region, V)
+        rho_n, _, p_n, q_n = _node_states(
+            np.take(modes, live[sel], axis=2), region, V)
         admissible[sel] = _admissible(rho_n, p_n, q_n, eps, use_q)
     report.activated = theta < 1.0
 
@@ -297,11 +301,12 @@ def limit_field(fld: DGField, region: InvariantRegion,
             raise RegionViolationError(
                 "limiter fallback exhausted without reaching the admissible set",
                 cell=int(pending[0]))
-        coeffs[pending, :, 1:] *= 0.5
+        modes[1:, :, pending] *= 0.5
         theta[pending] *= 0.5
         report.activated[pending] = True
         report.fallback_count += int(pending.size)
         rounds += 1
-        rho_n, _, p_n, q_n = _node_states(coeffs[pending], region, V)
+        rho_n, _, p_n, q_n = _node_states(
+            np.take(modes, pending, axis=2), region, V)
         pending = pending[~_admissible(rho_n, p_n, q_n, eps, use_q)]
     return out, report

@@ -92,6 +92,14 @@ def _dt_for_speed(speed: float, h: float, cfl: float, w_hat_1: float,
     return dt
 
 
+def _check_reaches_t_final(dt: float, t_tol: float, step: int) -> None:
+    """A CFL step not above the end tolerance cannot bring t to t_final."""
+    if not dt > t_tol:
+        raise ValueError(
+            f"time step {dt:.6g} at step {step} is not above the end "
+            f"tolerance {t_tol:.6g}; t_final cannot be reached")
+
+
 def ssp_rk3_step(fld: DGField, dt: float, rhs, limit=None,
                  per_stage: bool = True, rhs0: np.ndarray | None = None):
     """One SSP RK3 step; returns (new field, stage limiter reports).
@@ -166,7 +174,7 @@ class _RecordBlock:
         avg = self.buf[:len(self.rows)]
         totals = (self.h * avg.sum(axis=1)).tolist()
         rho, m, E = avg[..., 0], avg[..., 1], avg[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = gas_pressure(rho, m, E, self.gamma)
             s = gas_entropy(rho, p, self.gamma)
         # the minimum over the averages in the positive cone, nan for none
@@ -218,7 +226,9 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     part left after the last step.  A RegionViolationError raised by the
     limiter aborts the run with the failing step index attached (0 for that
     first limit) and, where an RK3 step with per_step placement failed, a
-    note that this placement is outside the IRP theory.
+    note that this placement is outside the IRP theory.  A CFL step (before
+    any clip to t_final) not above the end tolerance raises ValueError,
+    since t could never reach t_final.
     """
     if opts.t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -249,6 +259,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             if speed is None:
                 speed = global_max_signal_speed(fld, gamma)
             dt_raw = _dt_for_speed(speed, mesh.h, cfl, w_hat_1)
+            _check_reaches_t_final(dt_raw, t_tol, step)
             n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
             dt = opts.t_final / n_steps
         while step < n_steps if multistep else opts.t_final - t > t_tol:
@@ -257,6 +268,8 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                 if speed is None else speed
             if not multistep:
                 dt = _dt_for_speed(alpha, mesh.h, cfl, w_hat_1, t, opts.t_final)
+                # a step clipped to t_final is above t_tol by the loop test
+                _check_reaches_t_final(dt, t_tol, step)
             elif (dt / mesh.h) * alpha > 0.5 * w_hat_1 * (1.0 + 1e-12):
                 # The frozen dt must keep satisfying the theoretical CFL
                 # bound as the wave speed evolves; cfl_fraction < 1 provides

@@ -27,7 +27,7 @@ from irpdg.harness import (
     shock_position,
     total_variation_of_density,
 )
-from irpdg.riemann_exact import RiemannProblem, sample_conserved_at, \
+from irpdg.riemann_exact import RiemannProblem, sample_primitives, \
     solve_star
 
 GAMMA = 1.4
@@ -67,8 +67,8 @@ def assert_riemann_preset_data(pre, left, right, gamma, x0, xs, sampled=None):
     problem = RiemannProblem(left, right, gamma, x0)
     xs = xs[:sampled]
     for t in (0.1, 0.5):
-        assert same_bits(pre.exact(xs, t), sample_conserved_at(
-            problem, solve_star(problem), xs, t)[0])
+        assert same_bits(pre.exact(xs, t), sample_primitives(
+            problem, solve_star(problem), (xs - x0) / t)[0])
 
 
 class TestPresets:
@@ -390,7 +390,8 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--cfl", "0"], ["--cfl", "-0.5"], ["--cfl", "nan"],
         ["--gamma", "nan"], ["--eps", "nan"], ["--tfinal", "inf"],
-        ["--domain=1,-1"], ["--domain=nan,1"], ["--domain=0,inf"]])
+        ["--domain=1,-1"], ["--domain=nan,1"], ["--domain=0,inf"],
+        ["--domain=-1e308,1.7e308"]])
     def test_bad_numbers_exit_2_at_once(self, flags, tmp_path):
         # a subprocess with a timeout, because --cfl 0 used to step forever
         assert_exits_2_at_once(
@@ -404,13 +405,29 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", [
         "--left=1,0,0", "--left=1,0,-1", "--gamma=1", "--left=1,nan,1",
-        "--time=inf", "--x0=nan", "--domain=1,0"])
+        "--time=inf", "--x0=nan", "--domain=1,0", "--domain=-1e308,1.7e308"])
     def test_riemann_exact_bad_input_exits_2_at_once(self, flag, tmp_path):
         # each used to end in a traceback, a 200-step Newton failure or a
         # written file; the flag given last overrides the valid one
         assert_exits_2_at_once(
             ["riemann-exact", "--left=1,0,1", "--right=0.125,0,0.1",
              "--time=0.2", "--domain=-1,1", flag], tmp_path)
+
+    @pytest.mark.parametrize("integrator", ["rk3", "ms3"])
+    def test_a_step_that_cannot_reach_t_final_exits_3_at_once(
+            self, integrator, tmp_path):
+        # dt = 9.5e-303 would take about 1e300 steps, and t stops advancing
+        # after 2**53 of them: the run used to never end
+        proc = subprocess.run(
+            [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
+             "smooth_advection", "--cells", "4", "--domain=0,1e-300",
+             "--tfinal", "0.01", "--integrator", integrator,
+             "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("solver abort: time step ")
+        assert "at step 0 is not above the end tolerance 1e-12" in proc.stderr
+        assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--cells-list", "0,0"], ["--cells-list=-4,-8"],

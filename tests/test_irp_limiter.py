@@ -239,6 +239,21 @@ class TestCellRatios:
             limit_field(fld, region, kind)
         assert exc.value.cell == 1
 
+    @pytest.mark.parametrize("kind", (LIMITER_POSITIVITY, LIMITER_IRP))
+    def test_an_overflowing_average_momentum_fails_the_average_test(self,
+                                                                    kind):
+        # m * m overflows at the average as at the nodes: p = -inf, and the
+        # average test names the cell without an overflow warning
+        region = InvariantRegion(GAMMA, s0=-5.0)
+        fld = random_cells(np.random.default_rng(4), 4, 2, overshoot=0.05,
+                           region=region)
+        fld.coeffs[1, 1:, 0] = 1e200, 1e300
+        with pytest.raises(RegionViolationError,
+                           match=r"^average pressure -inf not above eps "
+                                 r"\(cell 1\)$") as exc:
+            limit_field(fld, region, kind)
+        assert exc.value.cell == 1
+
     def test_theta_in_unit_interval(self):
         rng = np.random.default_rng(23)
         fld = random_cells(rng, 500, 2, overshoot=1.0)

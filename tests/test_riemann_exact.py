@@ -2,7 +2,8 @@
 
 The pressure iteration is cross-checked against an independent bisection
 oracle written directly from the branch formulas (shock: Rankine-Hugoniot;
-rarefaction: isentropic), plus frozen star-state regression values.
+rarefaction: isentropic), plus frozen star-state regression values.  The
+array sampler is checked point by point against a scalar wave-fan oracle.
 """
 
 import math
@@ -10,14 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from irpdg.dg_space import Mesh1D
+from irpdg.dg_space import Mesh1D, gauss_legendre_rule
 from irpdg.euler_core import PrimitiveState, gas_entropy, to_conserved
+from irpdg.harness import CUSTOM_RIEMANN, preset
 from irpdg.riemann_exact import (
     RiemannProblem,
     VacuumError,
-    reference_on_mesh,
-    sample,
-    sample_conserved_at,
     sample_primitives,
     solve_star,
     star_of,
@@ -124,17 +123,127 @@ class TestSolveStar:
 
 # ---- sampling -------------------------------------------------------------
 
+def oracle_edges(problem, star, sign, side):
+    """The xi of one side's wave: a shock's speed, or a rarefaction's head
+    and tail; the right side is the left one mirrored through ``sign``."""
+    gamma = problem.gamma
+    c = math.sqrt(gamma * side.p / side.rho)
+    gm = 0.5 * (gamma - 1.0) / gamma
+    if star.p_star > side.p:  # shock
+        gp = 0.5 * (gamma + 1.0) / gamma
+        return (side.u - sign * c * math.sqrt(gp * star.p_star / side.p + gm),)
+    c_star = c * (star.p_star / side.p) ** gm
+    return side.u - sign * c, star.u_star - sign * c_star
+
+
+def oracle_sample(problem, star, xi):
+    """Self-similar solution at one float xi, by the scalar wave-fan tests:
+    which side of the contact, then the shock, or the head and then the
+    tail of a rarefaction."""
+    gamma = problem.gamma
+    if xi <= star.u_star:
+        sign, side, rho_star = 1.0, problem.left, star.rho_star_left
+    else:
+        sign, side, rho_star = -1.0, problem.right, star.rho_star_right
+    inner = PrimitiveState(rho_star, star.u_star, star.p_star)
+    edges = oracle_edges(problem, star, sign, side)
+    if sign * xi <= sign * edges[0]:
+        return side
+    if len(edges) == 1 or sign * xi >= sign * edges[1]:
+        return inner
+    c = math.sqrt(gamma * side.p / side.rho)
+    u = 2.0 / (gamma + 1.0) * (sign * c + 0.5 * (gamma - 1.0) * side.u + xi)
+    cf = 2.0 / (gamma + 1.0) * (c + sign * 0.5 * (gamma - 1.0) * (side.u - xi))
+    rho = side.rho * (cf / c) ** (2.0 / (gamma - 1.0))
+    return PrimitiveState(rho, u, side.p * (cf / c) ** (2.0 * gamma / (gamma - 1.0)))
+
+
+def sample_at(problem, xi):
+    """The array sampler's state at one xi."""
+    return PrimitiveState(*sample_primitives(problem, star_of(problem), [xi])[:, 0])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+FAN_PROBLEMS = {
+    "sod": SOD,
+    "lax": LAX,
+    "einfeldt_123": RiemannProblem(PrimitiveState(1.0, -2.0, 0.4),
+                                   PrimitiveState(1.0, 2.0, 0.4)),
+    "leblanc": RiemannProblem(PrimitiveState(1.0, 0.0, 2.0 / 3.0 * 1e-1),
+                              PrimitiveState(1e-3, 0.0, 2.0 / 3.0 * 1e-10),
+                              5.0 / 3.0),
+    "woodward_colella_left": RiemannProblem(PrimitiveState(1.0, 0.0, 1000.0),
+                                            PrimitiveState(1.0, 0.0, 0.01)),
+    # Toro's test 5: two strong shocks collide
+    "two_shocks": RiemannProblem(
+        PrimitiveState(5.99924, 19.5975, 460.894),
+        PrimitiveState(5.99242, -6.19633, 46.0950)),
+    # a right rarefaction whose velocity passes through 0
+    "right_fan_through_zero": RiemannProblem(PrimitiveState(1.0, -2.0, 1.0),
+                                             PrimitiveState(1.0, 0.5, 1.0)),
+}
+
+
+def wave_span(problem, star):
+    """A bound on |xi| of every wave, with a margin: a shock moves between
+    the characteristic speeds of its two sides."""
+    g = problem.gamma
+    speeds = []
+    for side, rho_star in ((problem.left, star.rho_star_left),
+                           (problem.right, star.rho_star_right)):
+        speeds += [abs(side.u) + math.sqrt(g * side.p / side.rho),
+                   abs(star.u_star) + math.sqrt(g * star.p_star / rho_star)]
+    return 1.25 * max(speeds)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("name", sorted(FAN_PROBLEMS))
+    def test_one_array_pass_matches_the_scalar_fan(self, name):
+        # 20,000 random points across the waves, plus each wave's edges
+        # and the contact with their neighbours, both zeros, both
+        # infinities and nan.  np.power and libm pow differ by an ulp on
+        # some inputs, so inside a rarefaction rho and p may differ by
+        # 2 ulp; everything else keeps the oracle's bits.
+        problem = FAN_PROBLEMS[name]
+        star = solve_star(problem)
+        edges = np.array([star.u_star, *oracle_edges(
+            problem, star, 1.0, problem.left), *oracle_edges(
+            problem, star, -1.0, problem.right)])
+        span = wave_span(problem, star)
+        rng = np.random.default_rng(sorted(FAN_PROBLEMS).index(name))
+        xi = np.concatenate([
+            rng.uniform(-span, span, 20_000), edges,
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        got = sample_primitives(problem, star, xi)
+        want = np.array([oracle_sample(problem, star, float(x)) for x in xi]).T
+        assert got.shape == want.shape == (3, xi.size)
+
+        states = np.array([problem.left, problem.right,
+                           (star.rho_star_left, star.u_star, star.p_star),
+                           (star.rho_star_right, star.u_star, star.p_star)])
+        fan = ~(want.T[:, None, :] == states).all(axis=2).any(axis=1)
+        has_fan = star.p_star <= max(problem.left.p, problem.right.p)
+        assert (np.count_nonzero(fan) > 1000) == has_fan
+        assert np.array_equal(bits(got[:, ~fan]), bits(want[:, ~fan]))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want[0]) & fan
+        assert np.abs(bits(got[::2, ok]) - bits(want[::2, ok])).max(
+            initial=0) <= 2
+
     def test_far_field_states(self):
-        star = star_of(SOD)
-        assert sample(SOD, star, -100.0) == SOD.left
-        assert sample(SOD, star, 100.0) == SOD.right
+        assert sample_at(SOD, -100.0) == SOD.left
+        assert sample_at(SOD, 100.0) == SOD.right
 
     def test_left_fan_isentropic_and_characteristic(self):
-        star = star_of(SOD)
         c_l = math.sqrt(GAMMA * SOD.left.p / SOD.left.rho)
         for xi in (-1.0, -0.7, -0.3):
-            w = sample(SOD, star, xi)
+            w = sample_at(SOD, xi)
             assert w.p / w.rho**GAMMA == pytest.approx(
                 SOD.left.p / SOD.left.rho**GAMMA, rel=1e-12)
             # Riemann invariant u + 2c/(gamma-1) is constant through the fan
@@ -147,8 +256,8 @@ class TestSampling:
     def test_contact_separates_star_densities(self):
         star = star_of(SOD)
         eps = 1e-9
-        left_of_contact = sample(SOD, star, star.u_star - eps)
-        right_of_contact = sample(SOD, star, star.u_star + eps)
+        left_of_contact = sample_at(SOD, star.u_star - eps)
+        right_of_contact = sample_at(SOD, star.u_star + eps)
         assert left_of_contact.rho == pytest.approx(star.rho_star_left, rel=1e-9)
         assert right_of_contact.rho == pytest.approx(star.rho_star_right, rel=1e-9)
         assert left_of_contact.p == pytest.approx(right_of_contact.p, rel=1e-12)
@@ -173,9 +282,9 @@ class TestSampling:
         rhs = s * (np.array(pre) - np.array(post))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
         # the sampled profile jumps exactly at s
-        assert sample(SOD, star_of(SOD), s - 1e-9).rho == pytest.approx(
+        assert sample_at(SOD, s - 1e-9).rho == pytest.approx(
             star.rho_star_right, rel=1e-9)
-        assert sample(SOD, star_of(SOD), s + 1e-9) == SOD.right
+        assert sample_at(SOD, s + 1e-9) == SOD.right
 
     def test_entropy_condition_across_shock(self):
         star = star_of(SOD)
@@ -184,11 +293,11 @@ class TestSampling:
         assert s_post > s_pre  # gas crossing the shock gains entropy
 
     def test_self_similarity(self):
-        star = star_of(LAX)
+        lax = preset(CUSTOM_RIEMANN, left=LAX.left, right=LAX.right)
         for x, t in [(0.3, 0.5), (0.6, 1.0), (1.2, 2.0)]:
-            w1 = sample_conserved_at(LAX, star, np.array([x]), t)
-            w2 = sample_conserved_at(LAX, star, np.array([2 * x]), 2 * t)
-            np.testing.assert_allclose(w1, w2, rtol=1e-13)
+            np.testing.assert_allclose(lax.exact(np.array([x]), t),
+                                       lax.exact(np.array([2 * x]), 2 * t),
+                                       rtol=1e-13)
 
     def test_right_fan_velocity_zero_is_positive(self):
         # the right fan is the left one mirrored; negating the mirrored
@@ -198,15 +307,32 @@ class TestSampling:
         star = solve_star(problem)
         xi = -(-math.sqrt(GAMMA) + 0.5 * (GAMMA - 1.0) * 0.5)
         assert star.u_star < 0.0 < xi  # inside the right rarefaction
-        u = sample(problem, star, xi).u
+        u = sample_at(problem, xi).u
         assert u == 0.0 and math.copysign(1.0, u) == 1.0
 
-    def test_sample_requires_positive_time(self):
+    def test_exact_density_needs_a_nonnegative_time(self):
+        sod = preset(CUSTOM_RIEMANN, left=SOD.left, right=SOD.right)
         with pytest.raises(ValueError):
-            sample_conserved_at(SOD, star_of(SOD), np.array([0.0]), 0.0)
+            sod.exact(np.array([0.0]), -0.1)
+        xs = np.array([-0.5, 0.0, 0.5])
+        assert np.array_equal(sod.exact(xs, 0.0), sod.rho0(xs))
 
 
 # ---- mesh references ------------------------------------------------------
+
+def reference_on_mesh(problem, mesh, t, samples_per_cell=8):
+    """Cell averages of the exact conserved solution; (n_cells, 3).
+
+    Each cell is integrated with a Gauss-Legendre rule; kinks and jumps
+    inside a cell make this first-order accurate there.
+    """
+    rule = gauss_legendre_rule(samples_per_cell)
+    xi = (mesh.physical_points(rule.nodes).ravel() - problem.x0) / t
+    rho, u, p = sample_primitives(problem, star_of(problem), xi)
+    w = np.stack(to_conserved(PrimitiveState(rho, u, p), problem.gamma))
+    return np.einsum("vcq,q->cv", w.reshape(3, mesh.n_cells, -1),
+                     rule.weights)
+
 
 class TestReferenceOnMesh:
     def test_small_time_limit_recovers_data(self):

@@ -17,6 +17,7 @@ import pytest
 import irpdg
 import irpdg.dg_space
 import irpdg.harness
+import irpdg.irp_limiter
 import irpdg.time_integration
 from irpdg.harness import RunConfig
 from irpdg.time_integration import _record_block_rows
@@ -140,12 +141,15 @@ def test_run_reaches_every_layer_through_its_module_global(monkeypatch,
                           for name in names}, calls
 
 
-@pytest.mark.parametrize("config", [
+STEP_PATH_CONFIGS = pytest.mark.parametrize("config", [
     RunConfig(problem="lax", n_cells=20, t_final=0.02),
     RunConfig(problem="shu_osher", n_cells=32, t_final=0.02),
     RunConfig(problem="smooth_advection", degree=3, n_cells=16,
               integrator="ms3", limiter_placement="per_step", t_final=0.02)],
     ids=("lax", "shu_osher", "advection_ms3"))
+
+
+@STEP_PATH_CONFIGS
 def test_the_step_path_keeps_coefficients_mode_major(monkeypatch, config):
     # a stray C-order copy keeps every bit and costs the layout's speed, so
     # no other test would fail for it
@@ -168,3 +172,21 @@ def test_the_step_path_keeps_coefficients_mode_major(monkeypatch, config):
     assert all(all(call) for calls in seen.values() for call in calls), seen
     assert final.coeffs.T.flags.c_contiguous
     assert final.averages().flags.c_contiguous
+
+
+@STEP_PATH_CONFIGS
+def test_the_node_kernel_receives_c_contiguous_mode_major_blocks(
+        monkeypatch, config):
+    # the kernel copies nothing, so a caller that handed it a strided view
+    # or a cell-major gather would keep every bit and go unnoticed
+    original = irpdg.dg_space._values_at
+    seen = []
+
+    def checked(modes, V):
+        seen.append((modes.shape[:2], modes.flags.c_contiguous))
+        return original(modes, V)
+
+    for module in (irpdg.dg_space, irpdg.irp_limiter):
+        monkeypatch.setattr(module, "_values_at", checked)
+    irpdg.harness.run(config)
+    assert seen and set(seen) == {((config.degree + 1, 3), True)}, set(seen)

@@ -213,6 +213,17 @@ class TestEvolve:
         expected, _ = limit_field(fld, region)
         np.testing.assert_array_equal(res.final.coeffs, expected.coeffs)
 
+    def test_records_take_an_overflowing_average_without_a_warning(self):
+        # m * m overflows at cell 1's average, so its p is -inf, and the
+        # minimum average entropy comes from the other cells
+        fld, mesh, region = build_smooth_problem(4)
+        fld.coeffs[1, 1, 0] = 1e200
+        res = evolve(fld, mesh, region,
+                     EvolveOptions(t_final=0.0, limiter_kind="none"))
+        rec = res.diagnostics[0]
+        assert rec.total_m == pytest.approx(1e200 * mesh.h, rel=1e-12)
+        assert np.isfinite(rec.min_avg_entropy)
+
     def test_smooth_advection_error_magnitude(self):
         # P2, 8 cells, RK3 to T=1; L1 density error lands in the few-e-4..e-3
         # class for this resolution
