@@ -101,6 +101,10 @@ class RunConfig:
                 if rho <= 0.0 or p <= 0.0:
                     raise ConfigError(f"{side} state needs positive density "
                                       f"and pressure, got {rho},{u},{p}")
+                w = to_conserved(PrimitiveState(rho, u, p), self.gamma)
+                if not all(math.isfinite(v) for v in w):
+                    raise ConfigError(f"{side} state's momentum or energy "
+                                      f"overflows, got {rho},{u},{p}")
 
 
 @dataclass

@@ -147,20 +147,16 @@ def limit_field(fld: DGField, region: InvariantRegion,
     need the extra rounds; cells with valid nodes finish in one, identical
     to the single-pass formula.
 
-    Each round evaluates the node states once, and only for the cells in
-    play.  One pass over every cell gives the report and round 0; when no
-    cell violates a constraint, the field is returned right after it, and
-    the same node values give the report's ``max_speed``, the wave speed
-    that the next time step of the returned field needs.  No node array
-    outlives the call.  The thermodynamics of the cell averages are
-    computed once, for the cells in play.  Round 1 re-evaluates the cells
-    that round 0 rescaled (and any whose node entropy overflowed, which only
-    round 0 skips); round 2 those that round 1 rescaled.  Each of these
-    passes takes the fallback's admissibility test first and ends the rounds
-    when every cell it saw passes, since an admissible cell violates no
-    constraint; the fallback reads the test from there and evaluates afresh
-    only the cells that round 2 rescaled after their last pass.  A round
-    computes its three constraints' ratios as one stacked (3, cells) pass.
+    One pass over every cell gives the report and round 0; when no cell
+    violates a constraint, the field is returned right after it, and the
+    same node values give the report's ``max_speed``, the wave speed that
+    the next time step of the returned field needs.  Otherwise the cells in
+    play are gathered once into one block, which every later step works on
+    whole and which is written back once; a cell with no active constraint
+    in a round is rescaled by exactly 1.0, which keeps its bits.  After each
+    rescaling one node pass over the block gives both the next round's
+    extrema and the fallback's admissibility test; the rounds end when
+    every cell passes it, since an admissible cell violates no constraint.
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
@@ -175,10 +171,10 @@ def limit_field(fld: DGField, region: InvariantRegion,
     p_min = np.minimum.reduce(p_n, axis=0)
     q_max = np.maximum.reduce(q_n, axis=0)
 
-    theta = np.ones(n)
-    thetas = np.full((3, n), np.inf)  # theta1-3, one row per constraint
+    thetas = np.full((4, n), np.inf)  # theta, then theta1-3
+    thetas[0] = 1.0
     out = fld.copy()
-    report = FieldLimiterReport(theta, *thetas,
+    report = FieldLimiterReport(*thetas,
                                 rho_min=rho_min, p_min=p_min, q_max=q_max,
                                 activated=np.zeros(n, dtype=bool))
     if kind == LIMITER_NONE:
@@ -206,7 +202,9 @@ def limit_field(fld: DGField, region: InvariantRegion,
            np.maximum.reduce(np.where(np.isfinite(q_n), q_n, -np.inf), axis=0))
 
     modes = out.coeffs.T  # mode-major: (k, 3, n), C-contiguous
-    rho_avg, m_avg, E_avg = modes[0][:, live]
+    block = np.take(modes, live, axis=2)  # the cells in play, (k, 3, L)
+    theta = thetas[:, live]  # (4, L): theta, then theta1-3
+    rho_avg, m_avg, E_avg = block[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_avg, _, q_avg = gas_state(rho_avg, m_avg, E_avg, region)
     # The average test: rho and p strictly above eps, p finite as at the
@@ -217,17 +215,14 @@ def limit_field(fld: DGField, region: InvariantRegion,
         inside &= q_avg <= Q_SLACK
     touched = np.zeros(live.size, dtype=bool)
     admissible = np.zeros(live.size, dtype=bool)  # as of the last pass
-    sel = np.arange(live.size)  # positions in ``live`` of this round's cells
-    for round_idx in range(3):
+    for round_idx in range(4):
         if round_idx:
             # An admissible cell violates no constraint; otherwise take the
             # extrema over the nodes where each quantity is meaningful (see
             # the docstring).
-            rho_n, _, p_n, q_n = _node_states(
-                np.take(modes, live[sel], axis=2), region, V)
-            passed = _admissible(rho_n, p_n, q_n, eps, use_q)
-            admissible[sel] = passed
-            if passed.all():
+            rho_n, _, p_n, q_n = _node_states(block, region, V)
+            admissible = _admissible(rho_n, p_n, q_n, eps, use_q)
+            if round_idx == 3 or admissible.all():
                 break
             rho_pos = rho_n > 0.0
             ext = (np.minimum.reduce(rho_n, axis=0),
@@ -242,10 +237,10 @@ def limit_field(fld: DGField, region: InvariantRegion,
             break
         # Averages never change, so a cell that passed once passes again;
         # the first active cell whose average fails raises.
-        act = sel[active]
-        bad = act[~inside[act]]
-        if bad.size:
-            i, c = bad[0], int(live[bad[0]])
+        bad = active & ~inside
+        if bad.any():
+            i = int(np.argmax(bad))  # the first such cell
+            c = int(live[i])
             if not rho_avg[i] > eps:
                 what = f"density {rho_avg[i]} not above eps"
             elif not p_avg[i] > eps:
@@ -256,57 +251,45 @@ def limit_field(fld: DGField, region: InvariantRegion,
                 what = f"entropy functional q={q_avg[i]} not negative"
             raise RegionViolationError(f"average {what} (cell {c})", cell=c)
         # The three ratios at once; a row whose constraint is inactive may
-        # hold inf - inf and is masked out.
-        a = a[:, active]
-        r, p, q = rho_avg[act], p_avg[act], q_avg[act]
-        e = [x[active] for x in ext]
-        with np.errstate(invalid="ignore"):
-            t = _ratio(np.array([r - eps, p - eps, -q]),
-                       np.array([r - e[0], p - e[1], e[2] - q]))
-        t[2] = np.where(q < 0.0, t[2], 0.0)  # theta3 = 0 where q >= 0
-        t = np.where(a, t, np.inf)
-        step = np.minimum(1.0, np.minimum.reduce(t, axis=0))
-        c = live[act]
-        flat = c[step == 0.0]
-        if flat.size:
-            # inf * 0 is nan: a cell flattened to its mean drops the
-            # non-finite modes (+0); the finite ones keep their signed zeros
-            higher = modes[1:, :, flat]
-            higher[~np.isfinite(higher)] = 0.0
-            modes[1:, :, flat] = higher
-        modes[1:, :, c] *= step
-        theta[c] *= step
-        touched[act] = True
-        # each constraint's theta takes the product of its ratios
-        old = thetas[:, c]
-        new = np.where(a, t, old)
-        np.multiply(old, t, out=new, where=a & np.isfinite(old))
-        thetas[:, c] = new
-        if round_idx:  # round 1 passes over every live cell, as round 0 did
-            sel = act
-    else:
-        # round 2 rescaled these cells after their last pass
-        rho_n, _, p_n, q_n = _node_states(
-            np.take(modes, live[sel], axis=2), region, V)
-        admissible[sel] = _admissible(rho_n, p_n, q_n, eps, use_q)
-    report.activated = theta < 1.0
+        # hold anything and is masked out.
+        with np.errstate(invalid="ignore", over="ignore"):
+            t = _ratio(np.array([rho_avg - eps, p_avg - eps, -q_avg]),
+                       np.array([rho_avg - ext[0], p_avg - ext[1],
+                                 ext[2] - q_avg]))
+            t[2] = np.where(q_avg < 0.0, t[2], 0.0)  # theta3 = 0 where q >= 0
+            t = np.where(a, t, np.inf)
+            step = np.minimum(1.0, np.minimum.reduce(t, axis=0))
+            # each constraint's theta takes the product of its ratios
+            old = theta[1:]
+            theta[1:] = np.where(a, np.where(np.isfinite(old), old * t, t),
+                                 old)
+        # inf * 0 is nan: a cell flattened to its mean drops the non-finite
+        # modes (+0); the finite ones keep their signed zeros
+        np.copyto(block[1:], 0.0,
+                  where=(step == 0.0) & ~np.isfinite(block[1:]))
+        block[1:] *= step
+        theta[0] *= step
+        touched |= active
 
     # Safety net: round-off can leave a node a few ulp outside after the
     # exact-arithmetic-tight rescalings; halve theta until the test set is
     # clean (rarely more than once, counted in diagnostics).
-    pending = live[touched & ~admissible]
+    pending = touched & ~admissible
     rounds = 0
-    while pending.size:
+    while pending.any():
         if rounds == _MAX_FALLBACK:
             raise RegionViolationError(
                 "limiter fallback exhausted without reaching the admissible set",
-                cell=int(pending[0]))
-        modes[1:, :, pending] *= 0.5
-        theta[pending] *= 0.5
-        report.activated[pending] = True
-        report.fallback_count += int(pending.size)
+                cell=int(live[np.argmax(pending)]))
+        half = np.where(pending, 0.5, 1.0)  # 1.0 keeps the other cells
+        block[1:] *= half
+        theta[0] *= half
+        report.fallback_count += int(np.count_nonzero(pending))
         rounds += 1
-        rho_n, _, p_n, q_n = _node_states(
-            np.take(modes, pending, axis=2), region, V)
-        pending = pending[~_admissible(rho_n, p_n, q_n, eps, use_q)]
+        rho_n, _, p_n, q_n = _node_states(block, region, V)
+        pending &= ~_admissible(rho_n, p_n, q_n, eps, use_q)
+    modes[:, :, live] = block
+    thetas[:, live] = theta
+    # every halved cell has theta <= 0.5
+    report.activated = report.theta < 1.0
     return out, report

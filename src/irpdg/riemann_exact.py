@@ -84,10 +84,15 @@ def solve_star(problem: RiemannProblem) -> StarState:
         f_r, df_r = _pressure_function(p, right, gamma)
         return f_l + f_r + du, df_l + df_r
 
-    # Two-rarefaction approximation as the initial guess.
+    # Two-rarefaction approximation as the initial guess; where it
+    # overflows (|du| above about 1e45), the clamp below starts the
+    # iteration from the bracket's lower end.
     z = (gamma - 1.0) / (2.0 * gamma)
-    p = ((c_l + c_r - 0.5 * (gamma - 1.0) * du)
-         / (c_l / left.p**z + c_r / right.p**z)) ** (1.0 / z)
+    try:
+        p = ((c_l + c_r - 0.5 * (gamma - 1.0) * du)
+             / (c_l / left.p**z + c_r / right.p**z)) ** (1.0 / z)
+    except OverflowError:
+        p = 0.0
     lo = 1e-300  # f < 0 there by the no-vacuum condition
     hi = max(left.p, right.p, p)
     while total(hi)[0] < 0.0:

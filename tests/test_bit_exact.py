@@ -341,6 +341,20 @@ def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
     assert calls == [40, 2]
 
 
+def test_limit_field_names_the_first_pending_cell_when_the_fallback_gives_up(
+        monkeypatch):
+    # with a node test that no cell passes, cells 7 and 23 take five
+    # halvings and the error names the first of them
+    fld = random_field(np.random.default_rng(6), 40, 2, 0.01)
+    fld.coeffs[[7, 23]] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.5, 1.3, 0.0]]
+    monkeypatch.setattr(irp_limiter, "_admissible",
+                        lambda rho, *args: np.zeros(rho.shape[1], dtype=bool))
+    with pytest.raises(RegionViolationError,
+                       match="fallback exhausted") as got:
+        limit_field(fld, REGION)
+    assert got.value.cell == 7
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
     # at a density of 1e306, q = (s0 - s) * rho overflows to +inf; round 0
@@ -355,6 +369,82 @@ def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
     assert (str(got.value), got.value.cell) == \
         (str(expected.value), expected.value.cell)
     assert got.value.cell == 20
+
+
+# Single density-dip cells (E = 5, m = 0) whose limited density ends a few
+# ulp below eps at a node, so each takes a fallback halving under both
+# kinds; drawn as density_dip_field draws its cells, one per degree.
+FALLBACK_DENSITY = {1: [1.41, 1.894], 2: [1.891, 2.008, -1.236],
+                    3: [1.873, -0.014, -1.122, -1.735]}
+CELLS_IN_PLAY = ("rho_dip", "p_dip", "q_dip", "flat", "fallback")
+
+
+def limiter_fields(st):
+    """Strategy of (field, kind, cell types) for ``REGION``.
+
+    Most cells are quiet: an interior average with higher modes of 1% of
+    it.  The others are in play: a density, pressure or entropy dip (the
+    variable's higher modes up to 3x, 3x and 0.5x its average), a cell
+    whose density average lies just above eps and whose lowest node lies
+    2e-15 below it, which the denominator guard flattens, and one of
+    ``FALLBACK_DENSITY``.
+    """
+    @st.composite
+    def fields(draw):
+        degree = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from([LIMITER_POSITIVITY, LIMITER_IRP]))
+        types = draw(st.lists(st.sampled_from(("quiet",) * 5 + CELLS_IN_PLAY),
+                              min_size=1, max_size=16))
+        coeffs = np.zeros((len(types), 3, degree + 1))
+        for c, cell in enumerate(types):
+            rho, u, ds = (draw(st.floats(lo, hi)) for lo, hi in
+                          ((0.3, 3.0), (-1.5, 1.5), (0.05, 2.0)))
+            modes = np.reshape(draw(st.lists(st.floats(-1.0, 1.0),
+                                             min_size=3 * degree,
+                                             max_size=3 * degree)),
+                               (3, degree))
+            if cell == "fallback":
+                coeffs[c, 0] = FALLBACK_DENSITY[degree]
+                coeffs[c, 2, 0] = 5.0
+                continue
+            if cell == "flat":
+                coeffs[c, 0, 0] = REGION.eps * (1.03 + 0.02 * modes[0, 0])
+                coeffs[c, 0, 1] = (coeffs[c, 0, 0] - REGION.eps + 2e-15) \
+                    / np.sqrt(3.0)
+                coeffs[c, 2, 0] = 1e-12
+                continue
+            w = to_conserved(
+                PrimitiveState(rho, u, np.exp(REGION.s0 + ds) * rho**GAMMA),
+                GAMMA)
+            avg = np.array([w.rho, w.m, w.E])
+            coeffs[c, :, 0] = avg
+            if cell == "quiet":
+                coeffs[c, :, 1:] = 0.01 * modes * np.abs(avg)[:, None]
+            elif cell == "rho_dip":
+                coeffs[c, 0, 1:] = 3.0 * modes[0] * avg[0]
+            else:
+                coeffs[c, 2, 1:] = (3.0 if cell == "p_dip" else 0.5) \
+                    * modes[2] * avg[2]
+        return DGField(degree, coeffs), kind, types
+
+    return fields()
+
+
+def test_limit_field_matches_the_oracle_on_random_fields():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(limiter_fields(hypothesis.strategies))
+    def check(drawn):
+        fld, kind, types = drawn
+        limit_field(fld, REGION, kind)  # warns of nothing
+        # the oracle's theta products take inf * 0 where a first ratio is 0
+        with np.errstate(invalid="ignore"):
+            rep = assert_limiter_matches(fld, REGION, kind)
+        assert rep.fallback_count >= types.count("fallback")
+        flat = [c for c, cell in enumerate(types) if cell == "flat"]
+        assert (rep.theta[flat] == 0.0).all()
+
+    check()
 
 
 @pytest.mark.parametrize("degree", DEGREES)

@@ -413,6 +413,26 @@ class TestCli:
             ["riemann-exact", "--left=1,0,1", "--right=0.125,0,0.1",
              "--time=0.2", "--domain=-1,1", flag], tmp_path)
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "custom-riemann"],
+        ["riemann-exact", "--time=0.1", "--domain=0,1"]],
+        ids=("solve", "riemann_exact"))
+    def test_a_state_whose_energy_overflows_exits_2_at_once(self, argv,
+                                                           tmp_path):
+        # E = 0.5 * rho * u**2 overflows at u = 1e200: solve used to warn of
+        # the overflow in to_conserved and abort with exit 3; the one
+        # error line leaves no room for a RuntimeWarning
+        assert_exits_2_at_once(
+            [*argv, "--left=1,1e200,1", "--right=1,0,1"], tmp_path)
+
+    def test_riemann_exact_with_an_overflowing_guess_ends_without_a_traceback(
+            self, tmp_path):
+        # the two-rarefaction guess (|du| / 2.4)**7 used to raise an
+        # OverflowError traceback (exit 1) for any |du| above about 1e45
+        assert cli_main(["riemann-exact", "--left", "1,1e150,1", "--right",
+                         "1,0,1", "--time", "0.1", "--domain=0,1",
+                         "--out", str(tmp_path / "rx.csv")]) in (0, 3)
+
     @pytest.mark.parametrize("integrator", ["rk3", "ms3"])
     def test_a_step_that_cannot_reach_t_final_exits_3_at_once(
             self, integrator, tmp_path):

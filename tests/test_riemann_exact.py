@@ -110,6 +110,17 @@ class TestSolveStar:
                  + LAX.right.u - LAX.left.u)
         assert abs(resid) <= 1e-12
 
+    def test_a_guess_that_overflows_starts_from_the_bracket(self):
+        # the two-rarefaction guess overflows for |du| above about 1e45;
+        # two equal states meeting at du = -1e150 give the strong-shock
+        # limit p* = (gamma + 1) / 2 * rho * (du / 2)**2 and rho* = 6 rho
+        star = solve_star(RiemannProblem(PrimitiveState(1.0, 1e150, 1.0),
+                                         PrimitiveState(1.0, 0.0, 1.0)))
+        assert star.p_star == pytest.approx(3e299, rel=1e-12)
+        assert star.u_star == pytest.approx(5e149, rel=1e-12)
+        assert star.rho_star_left == pytest.approx(6.0, rel=1e-12)
+        assert star.rho_star_right == pytest.approx(6.0, rel=1e-12)
+
     def test_vacuum_detection(self):
         with pytest.raises(VacuumError):
             solve_star(RiemannProblem(PrimitiveState(1.0, -5.0, 0.1),
