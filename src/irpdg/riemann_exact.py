@@ -19,6 +19,7 @@ from .euler_core import PrimitiveState
 
 _P_TOL = 1e-12
 _MAX_ITER = 200
+_MAX_HALVINGS = 8
 
 
 class VacuumError(ValueError):
@@ -80,9 +81,10 @@ def solve_star(problem: RiemannProblem) -> StarState:
         raise VacuumError("initial states generate vacuum; no positive p_star")
 
     def total(p):
+        """f, df/dp and the size of f's terms, which sets its round-off."""
         f_l, df_l = _pressure_function(p, left, gamma)
         f_r, df_r = _pressure_function(p, right, gamma)
-        return f_l + f_r + du, df_l + df_r
+        return f_l + f_r + du, df_l + df_r, abs(f_l) + abs(f_r) + abs(du)
 
     # Two-rarefaction approximation as the initial guess; where it
     # overflows (|du| above about 1e45), the clamp below starts the
@@ -101,9 +103,12 @@ def solve_star(problem: RiemannProblem) -> StarState:
             raise RiemannSolverError("failed to bracket p_star")
     p = min(max(p, lo), hi)
 
+    halvings = 0
     for _ in range(_MAX_ITER):
-        f, df = total(p)
-        if abs(f) <= _P_TOL:
+        f, df, size = total(p)
+        # f's round-off grows with its terms (about |du| in a collision):
+        # the tolerance is 1e-14 of their size where that exceeds _P_TOL
+        if abs(f) <= max(_P_TOL, 1e-14 * size):
             break
         if f > 0.0:
             hi = p
@@ -111,7 +116,12 @@ def solve_star(problem: RiemannProblem) -> StarState:
             lo = p
         p_new = p - f / df if df > 0.0 else lo
         if not lo < p_new < hi:
-            p_new = 0.5 * (lo + hi)  # bisection safeguard
+            # bisection safeguard; halving from above gains one bit a step,
+            # so after _MAX_HALVINGS of them Newton goes on from the lower
+            # end, from where it rises to p* (f is increasing and concave)
+            halvings += f > 0.0
+            p_new = lo if f > 0.0 and halvings > _MAX_HALVINGS \
+                else 0.5 * (lo + hi)
         p = p_new
     else:
         raise RiemannSolverError(

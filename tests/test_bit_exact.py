@@ -18,8 +18,8 @@ from irpdg.dg_space import INFLOW_OUTFLOW, OUTFLOW, PERIODIC, DGField, \
     Mesh1D, basis_derivatives, basis_values, default_rule, \
     evaluate_at_nodes, gauss_legendre_rule, gauss_lobatto_rule, global_max_signal_speed, \
     spatial_operator
-from irpdg.dg_space import _einsum_order_sum, _operator_tables, \
-    _test_table, _values_at
+from irpdg.dg_space import _node_values, _operator_tables, _test_table, \
+    _values_at
 from irpdg.euler_core import ConservedState, InvariantRegion, \
     PrimitiveState, gas_entropy, gas_pressure, gas_state, in_region, \
     in_region_interior, to_conserved
@@ -166,7 +166,9 @@ def oracle_limit_field(fld, region, kind):
             q_avg = (region.s0 - (np.log(p_avg[a3])
                                   - region.gamma * np.log(rho_avg[a3]))) \
                 * rho_avg[a3]
-            t3[a3] = ratio(-q_avg, q_max[a3] - q_avg)
+            # an average on the entropy boundary (0 <= q <= Q_SLACK) gets 0
+            t3[a3] = np.where(q_avg < 0.0,
+                              ratio(-q_avg, q_max[a3] - q_avg), 0.0)
         step = np.minimum(1.0, np.minimum(t1, np.minimum(t2, t3)))
         coeffs[active, :, 1:] *= step[active, None, None]
         rep["theta"][active] *= step[active]
@@ -376,7 +378,8 @@ def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
 # kinds; drawn as density_dip_field draws its cells, one per degree.
 FALLBACK_DENSITY = {1: [1.41, 1.894], 2: [1.891, 2.008, -1.236],
                     3: [1.873, -0.014, -1.122, -1.735]}
-CELLS_IN_PLAY = ("rho_dip", "p_dip", "q_dip", "flat", "fallback")
+CELLS_IN_PLAY = ("rho_dip", "p_dip", "q_dip", "flat", "fallback",
+                 "on_boundary")
 
 
 def limiter_fields(st):
@@ -386,8 +389,10 @@ def limiter_fields(st):
     it.  The others are in play: a density, pressure or entropy dip (the
     variable's higher modes up to 3x, 3x and 0.5x its average), a cell
     whose density average lies just above eps and whose lowest node lies
-    2e-15 below it, which the denominator guard flattens, and one of
-    ``FALLBACK_DENSITY``.
+    2e-15 below it, which the denominator guard flattens, one of
+    ``FALLBACK_DENSITY``, and a cell at rest whose average lies on the
+    entropy boundary (q about 4e-13, within Q_SLACK) with an energy dip of
+    up to 5%, which theta3 = 0 flattens.
     """
     @st.composite
     def fields(draw):
@@ -413,6 +418,8 @@ def limiter_fields(st):
                     / np.sqrt(3.0)
                 coeffs[c, 2, 0] = 1e-12
                 continue
+            if cell == "on_boundary":
+                u, ds = 0.0, -4e-13 / rho
             w = to_conserved(
                 PrimitiveState(rho, u, np.exp(REGION.s0 + ds) * rho**GAMMA),
                 GAMMA)
@@ -423,8 +430,8 @@ def limiter_fields(st):
             elif cell == "rho_dip":
                 coeffs[c, 0, 1:] = 3.0 * modes[0] * avg[0]
             else:
-                coeffs[c, 2, 1:] = (3.0 if cell == "p_dip" else 0.5) \
-                    * modes[2] * avg[2]
+                scale = {"p_dip": 3.0, "q_dip": 0.5, "on_boundary": 0.05}
+                coeffs[c, 2, 1:] = scale[cell] * modes[2] * avg[2]
         return DGField(degree, coeffs), kind, types
 
     return fields()
@@ -443,6 +450,8 @@ def test_limit_field_matches_the_oracle_on_random_fields():
         assert rep.fallback_count >= types.count("fallback")
         flat = [c for c, cell in enumerate(types) if cell == "flat"]
         assert (rep.theta[flat] == 0.0).all()
+        edge = [c for c, cell in enumerate(types) if cell == "on_boundary"]
+        assert ((rep.theta[edge] == 0.0) | ~rep.activated[edge]).all()
 
     check()
 
@@ -499,10 +508,11 @@ def test_identical_runs_give_identical_bits(config):
     assert len(digests) == 1
 
 
-# The operator's and the wave speed's contractions are broadcast multiplies
-# and sums in einsum's order (``dg_space._einsum_order_sum``, ``_values_at``);
-# the tests below pin each to the einsum it replaced, over the layouts the
-# einsums saw: contiguous Vq, Dq and traces, and ``basis_values``' own.
+# The operator's and the wave speed's contractions are einsums over the
+# mode-major block (``dg_space._node_values``, the operator's volume term,
+# ``_values_at``) in the order of the einsums they replaced; the tests below
+# pin each to that einsum, over the layouts it saw: contiguous Vq, Dq and
+# traces, and ``basis_values``' own.
 # Their coefficients were C-order; the kernels must give the same bits on
 # that layout and on the mode-major one a DGField stores.
 
@@ -536,14 +546,13 @@ def assert_kernels_match_einsum(coeffs, F):
     c = np.ascontiguousarray(coeffs)
     deg = coeffs.shape[2] - 1
     n = coeffs.shape[0]
-    vol, at_nodes, Dq_table, _, _ = _operator_tables(deg)
+    vol, even, odd, Dq_table, _, _ = _operator_tables(deg)
     nq = vol.nodes.size
     Vq = np.ascontiguousarray(basis_values(deg, vol.nodes))
     Dq = np.ascontiguousarray(basis_derivatives(deg, vol.nodes))
 
     vals = np.empty((3, nq + 2, n))
-    _einsum_order_sum(coeffs.T[:, :, None, :], at_nodes, 2, out=vals,
-                      tmp=np.empty_like(vals))
+    _node_values(coeffs.T, even, odd, out=vals, tmp=np.empty_like(vals))
     assert same_bits(vals[:, :nq].transpose(0, 2, 1),
                      np.einsum("cvj,qj->vcq", c, Vq))
     assert same_bits(vals[:, nq],
@@ -552,9 +561,9 @@ def assert_kernels_match_einsum(coeffs, F):
                      np.einsum("cvj,j->vc", c, basis_values(deg, 0.5)))
 
     Fw = F * vol.weights  # (3, n, nq), as the flux was laid out
-    volume = np.empty((deg + 1, 3, n))
-    _einsum_order_sum(Fw.transpose(2, 0, 1)[:, None], Dq_table, 1,
-                      out=volume, tmp=np.empty_like(volume))
+    # the operator's volume term, over its (3, nq, n) flux block
+    volume = np.einsum("vqc,qj->jvc", np.ascontiguousarray(
+        Fw.transpose(0, 2, 1)), Dq_table, out=np.empty((deg + 1, 3, n)))
     assert same_bits(volume.transpose(2, 1, 0),
                      np.einsum("vcq,qj->cvj", Fw, Dq))
 
@@ -691,6 +700,49 @@ def test_spatial_operator_zero_density_errors_as_before(boundary):
             spatial_operator(fld, Mesh1D(0.0, 1.0, 20, boundary,
                                          ConservedState(0.0, 0.5, 2.5)),
                              GAMMA, 3.0)
+
+
+def operator_outcome(operator, fld, mesh):
+    """The operator's result, or the type and message of what it raised."""
+    try:
+        return operator(fld, mesh, GAMMA, 4.7)
+    except (ArithmeticError, RuntimeWarning) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+@pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW, INFLOW_OUTFLOW))
+def test_spatial_operator_on_nonfinite_modes_as_the_oracle(degree, boundary):
+    # value for value, nan where the oracle has nan (its sign bit is not
+    # pinned); with warnings as errors, the operator raises where the oracle
+    # does, and also where its even and odd lanes add to inf - inf, which
+    # einsum's own sum does without a warning
+    rng = np.random.default_rng(3000 + 10 * degree + len(boundary))
+    ghost = to_conserved(PrimitiveState(3.857143, 2.629369, 10.3333), GAMMA) \
+        if boundary == INFLOW_OUTFLOW else None
+    mesh = Mesh1D(-1.0, 2.0, 6, boundary, ghost)
+    raised = 0
+    for _ in range(40):
+        fld = random_field(rng, 6, degree, 0.2)
+        k = rng.integers(1, 4)
+        fld.coeffs[rng.integers(0, 6, k), rng.integers(0, 3, k),
+                   rng.integers(0, degree + 1, k)] = \
+            rng.choice((np.inf, -np.inf, np.nan), k)
+        with np.errstate(all="ignore"):
+            got = spatial_operator(fld, mesh, GAMMA, 4.7)
+            expected = oracle_spatial_operator(fld, mesh, GAMMA, 4.7)
+        assert not np.isfinite(got).all()
+        assert np.array_equal(got, expected, equal_nan=True)
+        got = operator_outcome(spatial_operator, fld, mesh)
+        expected = operator_outcome(oracle_spatial_operator, fld, mesh)
+        if isinstance(expected, tuple):
+            assert isinstance(got, tuple) and got[0] is expected[0]
+        elif isinstance(got, tuple):
+            assert got == (RuntimeWarning, "invalid value encountered in add")
+        else:
+            assert np.array_equal(got, expected, equal_nan=True)
+        raised += isinstance(got, tuple)
+    assert 0 < raised < 40
 
 
 def test_ms3_evaluates_the_wave_speed_once_per_step(monkeypatch):

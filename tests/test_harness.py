@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -432,6 +433,16 @@ class TestCli:
         assert cli_main(["riemann-exact", "--left", "1,1e150,1", "--right",
                          "1,0,1", "--time", "0.1", "--domain=0,1",
                          "--out", str(tmp_path / "rx.csv")]) in (0, 3)
+
+    @pytest.mark.parametrize("du", ("1e13", "1e15", "1e20", "1e30", "1e45"))
+    def test_riemann_exact_solves_a_strong_collision(self, du, tmp_path,
+                                                     capsys):
+        # the pressure iteration used to end after 200 steps (exit 3)
+        assert cli_main(["riemann-exact", "--left", f"1,{du},1", "--right",
+                         "1,0,1", "--time", "0.1", "--domain=0,1",
+                         "--out", str(tmp_path / "rx.csv")]) == 0
+        p_star = float(re.search(r"p\*=(\S+),", capsys.readouterr().out)[1])
+        assert p_star == pytest.approx(1.2 * (float(du) / 2.0)**2, rel=1e-5)
 
     @pytest.mark.parametrize("integrator", ["rk3", "ms3"])
     def test_a_step_that_cannot_reach_t_final_exits_3_at_once(

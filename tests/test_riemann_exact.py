@@ -121,6 +121,17 @@ class TestSolveStar:
         assert star.rho_star_left == pytest.approx(6.0, rel=1e-12)
         assert star.rho_star_right == pytest.approx(6.0, rel=1e-12)
 
+    @pytest.mark.parametrize("du", (1e13, 1e15, 1e20, 1e30, 1e45))
+    def test_strong_collisions_converge_to_the_strong_shock_limit(self, du):
+        # the two-rarefaction guess overshoots p* by decades here, and at
+        # |du| of 1e20 and more f's round-off exceeds the absolute 1e-12
+        star = solve_star(RiemannProblem(PrimitiveState(1.0, du, 1.0),
+                                         PrimitiveState(1.0, 0.0, 1.0)))
+        assert star.p_star == pytest.approx(1.2 * (du / 2.0)**2, rel=1e-9)
+        assert star.u_star == pytest.approx(du / 2.0, rel=1e-9)
+        assert star.rho_star_left == pytest.approx(6.0, rel=1e-9)
+        assert star.rho_star_right == pytest.approx(6.0, rel=1e-9)
+
     def test_vacuum_detection(self):
         with pytest.raises(VacuumError):
             solve_star(RiemannProblem(PrimitiveState(1.0, -5.0, 0.1),
