@@ -1,6 +1,6 @@
 """Exact solver for the Riemann problem of the 1D Euler equations.
 
-Star-region pressure and velocity come from a safeguarded Newton iteration
+Star-region pressure and velocity come from a two-phase Newton iteration
 on the standard pressure function (shock branches from the Rankine-Hugoniot
 conditions, rarefaction branches from the isentropic relations; see Toro,
 "Riemann Solvers and Numerical Methods for Fluid Dynamics", ch. 4).  The
@@ -9,17 +9,17 @@ self-similar solution is sampled by wave-fan logic in xi = x/t.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
 from .euler_core import PrimitiveState
 
-_P_TOL = 1e-12
 _MAX_ITER = 200
-_MAX_HALVINGS = 8
+_SHRINK = 1e6
 
 
 class VacuumError(ValueError):
@@ -27,7 +27,7 @@ class VacuumError(ValueError):
 
 
 class RiemannSolverError(RuntimeError):
-    """The pressure iteration failed to converge."""
+    """The pressure iteration did not converge, or p* is not a float."""
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,15 @@ class RiemannProblem:
     x0: float = 0.0
 
     def __post_init__(self):
-        for side in (self.left, self.right):
-            if side.rho <= 0.0:
+        # Python floats: a numpy scalar's ** overflows to inf with a warning
+        for name in ("left", "right"):
+            side = PrimitiveState(*map(float, getattr(self, name)))
+            if not side.rho > 0.0:
                 raise ValueError("Riemann data requires positive density")
-            if side.p < 0.0:
-                raise ValueError("Riemann data requires nonnegative pressure")
+            if not side.p > 0.0:
+                raise ValueError("Riemann data requires positive pressure")
+            object.__setattr__(self, name, side)
+        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,13 @@ def _pressure_function(p: float, side: PrimitiveState, gamma: float):
 
 
 def solve_star(problem: RiemannProblem) -> StarState:
-    """Star-region state; Newton with a bisection safeguard on the bracket."""
+    """Star-region state by Newton's method on the pressure function f.
+
+    f is increasing and concave (Toro, sec. 4.3), so a Newton step from any
+    p lands at or below p*, and from below p* Newton climbs without passing
+    it.  While a step moves p down (f > 0), p takes it, or p / _SHRINK
+    where it is not positive; then Newton climbs until p stops rising.
+    """
     gamma = problem.gamma
     left, right = problem.left, problem.right
     c_l = sqrt(gamma * left.p / left.rho)
@@ -80,52 +90,41 @@ def solve_star(problem: RiemannProblem) -> StarState:
     if 2.0 * (c_l + c_r) / (gamma - 1.0) <= du:
         raise VacuumError("initial states generate vacuum; no positive p_star")
 
-    def total(p):
-        """f, df/dp and the size of f's terms, which sets its round-off."""
+    def newton(p):
+        """The Newton iterate from p."""
         f_l, df_l = _pressure_function(p, left, gamma)
         f_r, df_r = _pressure_function(p, right, gamma)
-        return f_l + f_r + du, df_l + df_r, abs(f_l) + abs(f_r) + abs(du)
+        return p - (f_l + f_r + du) / (df_l + df_r)
 
-    # Two-rarefaction approximation as the initial guess; where it
-    # overflows (|du| above about 1e45), the clamp below starts the
-    # iteration from the bracket's lower end.
+    # the two-rarefaction guess, or the largest float where it overflows
     z = (gamma - 1.0) / (2.0 * gamma)
     try:
-        p = ((c_l + c_r - 0.5 * (gamma - 1.0) * du)
-             / (c_l / left.p**z + c_r / right.p**z)) ** (1.0 / z)
+        p = min(sys.float_info.max,
+                ((c_l + c_r - 0.5 * (gamma - 1.0) * du)
+                 / (c_l / left.p**z + c_r / right.p**z)) ** (1.0 / z))
     except OverflowError:
-        p = 0.0
-    lo = 1e-300  # f < 0 there by the no-vacuum condition
-    hi = max(left.p, right.p, p)
-    while total(hi)[0] < 0.0:
-        hi *= 2.0
-        if not np.isfinite(hi):
-            raise RiemannSolverError("failed to bracket p_star")
-    p = min(max(p, lo), hi)
-
-    halvings = 0
-    for _ in range(_MAX_ITER):
-        f, df, size = total(p)
-        # f's round-off grows with its terms (about |du| in a collision):
-        # the tolerance is 1e-14 of their size where that exceeds _P_TOL
-        if abs(f) <= max(_P_TOL, 1e-14 * size):
-            break
-        if f > 0.0:
-            hi = p
+        p = sys.float_info.max
+    try:
+        for _ in range(_MAX_ITER):
+            p_new = newton(p)
+            if p_new >= p:  # f <= 0 here; a nan iterate divides on
+                break
+            p = p_new if p_new > 0.0 else p / _SHRINK
         else:
-            lo = p
-        p_new = p - f / df if df > 0.0 else lo
-        if not lo < p_new < hi:
-            # bisection safeguard; halving from above gains one bit a step,
-            # so after _MAX_HALVINGS of them Newton goes on from the lower
-            # end, from where it rises to p* (f is increasing and concave)
-            halvings += f > 0.0
-            p_new = lo if f > 0.0 and halvings > _MAX_HALVINGS \
-                else 0.5 * (lo + hi)
-        p = p_new
-    else:
-        raise RiemannSolverError(
-            f"pressure iteration did not converge within {_MAX_ITER} steps")
+            raise RiemannSolverError(
+                f"p_star not approached from above in {_MAX_ITER} steps")
+        for _ in range(_MAX_ITER):
+            if not p_new > p:
+                break
+            p = p_new
+            p_new = newton(p)
+        else:
+            raise RiemannSolverError(
+                f"pressure iteration did not converge within {_MAX_ITER} steps")
+        if p == inf:
+            raise OverflowError("p_star is above the largest float")
+    except ArithmeticError as err:  # p* or f's terms outside the float range
+        raise RiemannSolverError(f"p_star left the float range: {err}") from err
 
     f_l, _ = _pressure_function(p, left, gamma)
     f_r, _ = _pressure_function(p, right, gamma)

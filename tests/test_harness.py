@@ -444,6 +444,19 @@ class TestCli:
         p_star = float(re.search(r"p\*=(\S+),", capsys.readouterr().out)[1])
         assert p_star == pytest.approx(1.2 * (float(du) / 2.0)**2, rel=1e-5)
 
+    def test_riemann_exact_solves_data_whose_iterates_used_to_alternate(
+            self, tmp_path, capsys):
+        # the former pressure iteration alternated between two adjacent
+        # floats with residuals above its tolerance and exited 3
+        out = tmp_path / "rx.csv"
+        assert cli_main(["riemann-exact", "--left", "41.33,5.899,4.327",
+                         "--right", "0.00245,-3.755,30798", "--gamma", "1.1",
+                         "--time", "0.1", "--domain=-1,1", "--samples", "50",
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+        p_star = float(re.search(r"p\*=(\S+),", capsys.readouterr().out)[1])
+        assert p_star == pytest.approx(30644.2588, rel=1e-5)
+
     @pytest.mark.parametrize("integrator", ["rk3", "ms3"])
     def test_a_step_that_cannot_reach_t_final_exits_3_at_once(
             self, integrator, tmp_path):

@@ -16,6 +16,7 @@ from irpdg.euler_core import PrimitiveState, gas_entropy, to_conserved
 from irpdg.harness import CUSTOM_RIEMANN, preset
 from irpdg.riemann_exact import (
     RiemannProblem,
+    RiemannSolverError,
     VacuumError,
     sample_primitives,
     solve_star,
@@ -58,6 +59,45 @@ def oracle_p_star(problem, lo=1e-14, hi=1e6, iters=220):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def oracle_p_star_log(problem, iters=64):
+    """Plain bisection on ln p over [-700, 700], which covers every p* the
+    random problems below have, where the linear bracket above cannot."""
+    def f(ln_p):
+        p = math.exp(ln_p)
+        return (oracle_branch(p, problem.left, problem.gamma)
+                + oracle_branch(p, problem.right, problem.gamma)
+                + problem.right.u - problem.left.u)
+
+    lo, hi = -700.0, 700.0
+    assert f(lo) < 0.0 and f(hi) > 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+def random_problems(n, seed):
+    """n non-vacuum problems: rho and p log-uniform in [1e-5, 1e5], |u|
+    log-uniform in [1e-60, 1e60] with either sign, gamma 1.1, 1.4, 5/3 or 3."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < n:
+        rho, p = (10.0 ** rng.uniform(-5.0, 5.0, (2, 2))).tolist()
+        u = (rng.choice((-1.0, 1.0), 2)
+             * 10.0 ** rng.uniform(-60.0, 60.0, 2)).tolist()
+        gamma = float(rng.choice((1.1, 1.4, 5.0 / 3.0, 3.0)))
+        c = [math.sqrt(gamma * p[k] / rho[k]) for k in (0, 1)]
+        if 2.0 * sum(c) / (gamma - 1.0) <= u[1] - u[0]:
+            continue  # vacuum-forming; excluded from this property
+        problems.append(RiemannProblem(PrimitiveState(rho[0], u[0], p[0]),
+                                       PrimitiveState(rho[1], u[1], p[1]),
+                                       gamma))
+    return problems
 
 
 # ---- star state -----------------------------------------------------------
@@ -110,7 +150,7 @@ class TestSolveStar:
                  + LAX.right.u - LAX.left.u)
         assert abs(resid) <= 1e-12
 
-    def test_a_guess_that_overflows_starts_from_the_bracket(self):
+    def test_a_guess_that_overflows_starts_from_the_largest_float(self):
         # the two-rarefaction guess overflows for |du| above about 1e45;
         # two equal states meeting at du = -1e150 give the strong-shock
         # limit p* = (gamma + 1) / 2 * rho * (du / 2)**2 and rho* = 6 rho
@@ -132,6 +172,54 @@ class TestSolveStar:
         assert star.rho_star_left == pytest.approx(6.0, rel=1e-9)
         assert star.rho_star_right == pytest.approx(6.0, rel=1e-9)
 
+    def test_agrees_with_log_bisection_on_random_problems(self):
+        # the former safeguarded Newton failed on 7 of these 500
+        for prob in random_problems(500, seed=2):
+            assert solve_star(prob).p_star == pytest.approx(
+                oracle_p_star_log(prob), rel=1e-12)
+
+    @pytest.mark.parametrize("left, right, gamma, p_star", [
+        # a rarefaction term's round-off (8e-12) exceeded the former
+        # residual tolerance of 1e-12, so the iterates alternated between
+        # two adjacent floats until the step limit
+        ((41.33, 5.899, 4.327), (0.00245, -3.755, 30798.0), 1.1, 30644.2588),
+        # a shock tube into a light gas that the former solver did not solve
+        ((1.0, 0.0, 1.0), (1e-5, 0.0, 1e4), 1.1, 9967.7384)],
+        ids=("alternating_iterates", "light_gas_shock_tube"))
+    def test_problems_the_former_solver_failed(self, left, right, gamma,
+                                               p_star):
+        prob = RiemannProblem(PrimitiveState(*left), PrimitiveState(*right),
+                              gamma)
+        star = solve_star(prob)
+        assert star.p_star == pytest.approx(p_star, rel=1e-8)
+        assert star.p_star == pytest.approx(oracle_p_star_log(prob),
+                                            rel=1e-12)
+
+    @pytest.mark.parametrize("u, gamma", [(-1000.0, 1.001), (1.5e154, 1.4)],
+                             ids=("below_the_smallest_float",
+                                  "above_the_largest_float"))
+    def test_a_p_star_outside_the_floats_raises_the_solver_error(self, u,
+                                                                 gamma):
+        # p* is about 1e-603 (two rarefactions; the guess underflows to 0)
+        # and 2.7e308 (two shocks; Newton from below steps to inf)
+        with pytest.raises(RiemannSolverError):
+            solve_star(RiemannProblem(PrimitiveState(1.0, u, 1.0),
+                                      PrimitiveState(1.0, -u, 1.0), gamma))
+
+    def test_numpy_scalar_data_is_solved_as_floats(self):
+        # a numpy scalar's power overflowed to inf with a RuntimeWarning
+        # (an error under this suite's settings) where a float's raises
+        # OverflowError, so the iteration started from inf and failed
+        f64 = np.float64
+        prob = RiemannProblem(PrimitiveState(f64(1.0), f64(1e50), f64(1.0)),
+                              PrimitiveState(f64(1.0), f64(0.0), f64(1.0)),
+                              f64(1.4))
+        assert all(type(x) is float
+                   for x in (*prob.left, *prob.right, prob.gamma))
+        assert solve_star(prob) == solve_star(RiemannProblem(
+            PrimitiveState(1.0, 1e50, 1.0), PrimitiveState(1.0, 0.0, 1.0)))
+        assert solve_star(prob).p_star == pytest.approx(3e99, rel=1e-12)
+
     def test_vacuum_detection(self):
         with pytest.raises(VacuumError):
             solve_star(RiemannProblem(PrimitiveState(1.0, -5.0, 0.1),
@@ -141,6 +229,12 @@ class TestSolveStar:
         with pytest.raises(ValueError):
             RiemannProblem(PrimitiveState(-1.0, 0.0, 1.0),
                            PrimitiveState(1.0, 0.0, 1.0))
+
+    def test_zero_pressure_is_invalid_data(self):
+        # it used to pass here and divide by zero in solve_star's guess
+        with pytest.raises(ValueError, match="positive pressure"):
+            RiemannProblem(PrimitiveState(1.0, 0.0, 1.0),
+                           PrimitiveState(1.0, 0.0, 0.0))
 
 
 # ---- sampling -------------------------------------------------------------
