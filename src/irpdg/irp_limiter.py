@@ -9,8 +9,6 @@ nodes.  The positivity-only variant drops the entropy constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dg_space import DGField, _max_speed, _test_table, _values_at
@@ -44,26 +42,37 @@ class RegionViolationError(RuntimeError):
         self.note: str | None = None
 
 
-@dataclass
 class FieldLimiterReport:
     """Vectorized limiter diagnostics for a whole field.
 
-    ``max_speed`` is the limited field's max |u| + c over the test nodes,
-    bit for bit what ``global_max_signal_speed`` returns for it.  It is set
-    only when the positivity or irp kind found no cell in play, and so
-    returned the field unchanged; otherwise it is None.
+    ``theta`` is each cell's rescaling, and ``theta1``-``theta3`` the
+    product of the ratios of its density, pressure and entropy constraints
+    (+inf where a constraint never acted).  ``quiet`` says that a positivity
+    or irp call found no cell in play and returned its input field itself;
+    such a report keeps (rho, m, p) at the test nodes, and ``max_speed``
+    computes the field's max |u| + c from them when first read, bit for bit
+    what ``global_max_signal_speed`` returns for it.  Otherwise
+    ``max_speed`` is None.
     """
 
-    theta: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    theta3: np.ndarray
-    rho_min: np.ndarray
-    p_min: np.ndarray
-    q_max: np.ndarray
-    activated: np.ndarray
-    fallback_count: int = 0
-    max_speed: float | None = None
+    def __init__(self, thetas: np.ndarray, fallback_count: int = 0,
+                 nodes: tuple | None = None):
+        self.theta, self.theta1, self.theta2, self.theta3 = thetas
+        self.fallback_count = fallback_count
+        self.quiet = nodes is not None
+        self._nodes = nodes  # (rho, m, p, gamma) until max_speed is read
+        self._speed: float | None = None
+
+    @property
+    def max_speed(self) -> float | None:
+        if self._nodes is not None:
+            self._speed = _max_speed(*self._nodes)
+            self._nodes = None
+        return self._speed
+
+    @property
+    def activated(self) -> np.ndarray:
+        return self.theta < 1.0
 
     @property
     def n_activated(self) -> int:
@@ -147,61 +156,50 @@ def limit_field(fld: DGField, region: InvariantRegion,
     need the extra rounds; cells with valid nodes finish in one, identical
     to the single-pass formula.
 
-    One pass over every cell gives the report and round 0; when no cell
-    violates a constraint, the field is returned right after it, and the
-    same node values give the report's ``max_speed``, the wave speed that
-    the next time step of the returned field needs.  Otherwise the cells in
-    play are gathered once into one block, which every later step works on
-    whole and which is written back once; a cell with no active constraint
-    in a round is rescaled by exactly 1.0, which keeps its bits.  After each
+    The none kind evaluates nothing and returns its input field.  The other
+    kinds make one node pass over every cell, and the cells with a node
+    outside the region are in play.  When none is, the call is quiet: it
+    returns its input field itself, and its report computes the field's
+    wave speed from the same node values if and when ``max_speed`` is read.
+    Otherwise the cells in play are gathered once into one block, which
+    every later step works on whole; a cell with no active constraint in a
+    round is rescaled by exactly 1.0, which keeps its bits.  After each
     rescaling one node pass over the block gives both the next round's
     extrema and the fallback's admissibility test; the rounds end when
     every cell passes it, since an admissible cell violates no constraint.
+    The block is written into a copy of the coefficients, the new field.
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
-    n = fld.n_cells
-    V = _test_table(fld.degree)
-    rho_n, m_n, p_n, q_n = _node_states(fld.coeffs.T, region, V)
-    # the report counts a non-finite p as -inf, and q outside the positive
-    # cone (rho > 0 and p finite and > 0) as +inf
-    p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
-    q_n = np.where((rho_n > 0.0) & (p_n > 0.0), q_n, np.inf)
-    rho_min = np.minimum.reduce(rho_n, axis=0)
-    p_min = np.minimum.reduce(p_n, axis=0)
-    q_max = np.maximum.reduce(q_n, axis=0)
-
-    thetas = np.full((4, n), np.inf)  # theta, then theta1-3
+    thetas = np.full((4, fld.n_cells), np.inf)  # theta, then theta1-3
     thetas[0] = 1.0
-    out = fld.copy()
-    report = FieldLimiterReport(*thetas,
-                                rho_min=rho_min, p_min=p_min, q_max=q_max,
-                                activated=np.zeros(n, dtype=bool))
     if kind == LIMITER_NONE:
-        return out, report
+        return fld, FieldLimiterReport(thetas)
 
-    # Cells in play: those round 0 finds in violation, plus any that round 1
-    # could flag although unchanged, since it keeps a q that overflowed to
-    # +inf where round 0 drops it.  The report's extrema bound both.
     use_q = kind == LIMITER_IRP
     eps = region.eps
-    in_play = ~(rho_min >= eps) | (p_min < eps)  # a nan density violates
-    if use_q:
-        in_play |= q_max > Q_SLACK
-    live = np.flatnonzero(in_play)
+    V = _test_table(fld.degree)
+    modes = fld.coeffs.T  # mode-major: (k, 3, n), C-contiguous
+    rho_n, m_n, p_n, q_n = _node_states(modes, region, V)
+    live = np.flatnonzero(~_admissible(rho_n, p_n, q_n, eps, use_q))
     if not live.size:
         # every node has rho >= eps and a finite p >= eps
-        report.max_speed = _max_speed(rho_n, m_n, p_n, region.gamma)
-        return out, report
+        return fld, FieldLimiterReport(
+            thetas, nodes=(rho_n, m_n, p_n, region.gamma))
 
-    # Round 0 reuses the report's nodes: p over the nodes with rho > 0 and
-    # the finite values of q.
+    # Round 0's extrema over the nodes where each quantity is meaningful:
+    # p over the nodes with rho > 0, a non-finite p counted as -inf, and q
+    # where it is finite over the nodes with rho > 0 and p > 0.  A cell
+    # whose q overflowed to +inf is in play with no constraint active in
+    # round 0; round 1 keeps that q and flags the cell.
     rho_n, p_n, q_n = rho_n[:, live], p_n[:, live], q_n[:, live]
-    ext = (rho_min[live],
-           np.minimum.reduce(np.where(rho_n > 0.0, p_n, np.inf), axis=0),
-           np.maximum.reduce(np.where(np.isfinite(q_n), q_n, -np.inf), axis=0))
+    p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
+    rho_pos = rho_n > 0.0
+    ext = (np.minimum.reduce(rho_n, axis=0),
+           np.minimum.reduce(np.where(rho_pos, p_n, np.inf), axis=0),
+           np.maximum.reduce(np.where(rho_pos & (p_n > 0.0) & np.isfinite(q_n),
+                                      q_n, -np.inf), axis=0))
 
-    modes = out.coeffs.T  # mode-major: (k, 3, n), C-contiguous
     block = np.take(modes, live, axis=2)  # the cells in play, (k, 3, L)
     theta = thetas[:, live]  # (4, L): theta, then theta1-3
     rho_avg, m_avg, E_avg = block[0]
@@ -275,7 +273,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
     # exact-arithmetic-tight rescalings; halve theta until the test set is
     # clean (rarely more than once, counted in diagnostics).
     pending = touched & ~admissible
-    rounds = 0
+    rounds = fallbacks = 0
     while pending.any():
         if rounds == _MAX_FALLBACK:
             raise RegionViolationError(
@@ -284,12 +282,11 @@ def limit_field(fld: DGField, region: InvariantRegion,
         half = np.where(pending, 0.5, 1.0)  # 1.0 keeps the other cells
         block[1:] *= half
         theta[0] *= half
-        report.fallback_count += int(np.count_nonzero(pending))
+        fallbacks += int(np.count_nonzero(pending))
         rounds += 1
         rho_n, _, p_n, q_n = _node_states(block, region, V)
         pending &= ~_admissible(rho_n, p_n, q_n, eps, use_q)
-    modes[:, :, live] = block
+    out = modes.copy()
+    out[:, :, live] = block
     thetas[:, live] = theta
-    # every halved cell has theta <= 0.5
-    report.activated = report.theta < 1.0
-    return out, report
+    return DGField(fld.degree, out.T), FieldLimiterReport(thetas, fallbacks)

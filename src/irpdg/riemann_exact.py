@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -41,6 +41,11 @@ class RiemannProblem:
         # Python floats: a numpy scalar's ** overflows to inf with a warning
         for name in ("left", "right"):
             side = PrimitiveState(*map(float, getattr(self, name)))
+            for quantity, value in zip(("density", "velocity", "pressure"),
+                                       side):
+                if not isfinite(value):
+                    raise ValueError(f"Riemann data requires a finite "
+                                     f"{quantity}, got {value} ({name})")
             if not side.rho > 0.0:
                 raise ValueError("Riemann data requires positive density")
             if not side.p > 0.0:

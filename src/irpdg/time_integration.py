@@ -5,11 +5,13 @@ Runge-Kutta scheme with an adaptive step, and the two-term SSP multistep
 scheme, which requires a constant step and is bootstrapped by three RK3
 steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
 first Gauss-Lobatto weight of the active test set, the set the limiter
-checks: where a limit leaves its field unchanged, the limiter's node values
-give that wave speed.  Each step leaves one record (``StepDiagnostics``):
-its limiter counts are taken as the step ends, its conserved totals and
-minimum average entropy a block of steps at a time, vectorized over the
-block, with the same bits as one step at a time.  The stage arithmetic on
+checks: where a limit finds no cell in play, it returns its field itself,
+and its report computes that wave speed from its node values when read;
+a step reads it from the one report whose field the next step starts
+from.  Each step leaves one record (``StepDiagnostics``): its limiter
+counts are taken as the step ends, its conserved totals and minimum
+average entropy a block of steps at a time, vectorized over the block,
+with the same bits as one step at a time.  The stage arithmetic on
 mode-major coefficients (``DGField``) and residuals gives mode-major arrays,
 so no step copies a field into another layout.
 """
@@ -151,15 +153,18 @@ class _RecordBlock:
     """Step records, built a block of steps at a time.
 
     Each step leaves its limiter counts and a copy of its cell averages in
-    a (rows, n_cells, 3) buffer.  ``flush`` computes the buffered steps'
-    totals and minimum average entropy in one vectorized pass and appends
-    their StepDiagnostics to ``records``.  The buffer keeps the averages'
-    (cell, variable) layout, so its sum over the cell axis equals each
-    step's ``averages().sum(axis=0)`` bit for bit.
+    a (rows, 3, n_cells) buffer: the field's mode-0 row ``coeffs.T[0]``,
+    one contiguous row of cells per variable.  ``flush`` computes the
+    buffered steps' totals and minimum average entropy in one vectorized
+    pass and appends their StepDiagnostics to ``records``.  It takes each
+    total as the last entry of a cumulative sum along the cells, which adds
+    left to right as each step's ``averages().sum(axis=0)`` does over the
+    (cell, variable) layout, so the two are equal bit for bit.  (A sum over
+    a contiguous row would add pairwise, in another order.)
     """
 
     def __init__(self, n_cells: int, h: float, gamma: float):
-        self.buf = np.empty((_record_block_rows(n_cells), n_cells, 3))
+        self.buf = np.empty((_record_block_rows(n_cells), 3, n_cells))
         self.h, self.gamma = h, gamma
         self.rows: list[tuple] = []  # (step, t, dt, *counts) per buffer row
         self.records: list[StepDiagnostics] = []
@@ -172,8 +177,9 @@ class _RecordBlock:
 
     def flush(self) -> None:
         avg = self.buf[:len(self.rows)]
-        totals = (self.h * avg.sum(axis=1)).tolist()
-        rho, m, E = avg[..., 0], avg[..., 1], avg[..., 2]
+        # + 0.0 stands for a sum's start: a row of -0 terms totals +0
+        totals = (self.h * (np.cumsum(avg, axis=2)[..., -1] + 0.0)).tolist()
+        rho, m, E = avg[:, 0], avg[:, 1], avg[:, 2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = gas_pressure(rho, m, E, self.gamma)
             s = gas_entropy(rho, p, self.gamma)
@@ -190,8 +196,8 @@ def _diagnostics(step: int, t: float, dt: float, fld: DGField,
                  block: _RecordBlock, reports) -> None:
     """Record one step into ``block``: the limiter counts of its reports
     (none with no limiter) and its cell averages."""
-    if all(rep.max_speed is not None for rep in reports):
-        # every limit found no cell in play and returned its field unchanged
+    if all(rep.quiet for rep in reports):
+        # every limit found no cell in play and returned its field
         counts = (1.0, 0, 0, 0, 0, 0)
     else:
         activated = np.zeros(fld.n_cells, dtype=bool)
@@ -203,8 +209,8 @@ def _diagnostics(step: int, t: float, dt: float, fld: DGField,
                   sum(rep.n_p_active for rep in reports),
                   sum(rep.n_q_active for rep in reports),
                   sum(rep.fallback_count for rep in reports))
-    # the block copies the averages once, from the mode-major view
-    block.add((step, t, dt, *counts), fld.coeffs[:, :, 0])
+    # the block copies the averages once, from their contiguous mode-0 row
+    block.add((step, t, dt, *counts), fld.coeffs.T[0])
 
 
 def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
@@ -218,15 +224,17 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     (coefficients, residual) pairs of its last four steps and takes RK3
     steps until it has four.  A step takes the wave speed of its field
     from the limiter report that returned the field (the initial limit's,
-    or the last of the step before); ``global_max_signal_speed`` evaluates
-    it only where that report has none: after a limit that changed a cell,
-    or with no limiter.  ``_diagnostics`` records each step, the initial
-    limit as step 0, into a block of at most 64 KiB of cell averages, which
-    it turns into StepDiagnostics whenever it fills; ``evolve`` turns the
-    part left after the last step.  A RegionViolationError raised by the
-    limiter aborts the run with the failing step index attached (0 for that
-    first limit) and, where an RK3 step with per_step placement failed, a
-    note that this placement is outside the IRP theory.  A CFL step (before
+    or the last of the step before), which computes it when read, so an
+    RK3 step's first two stage reports never compute theirs;
+    ``global_max_signal_speed`` evaluates it only where that report has
+    none: after a limit that changed a cell, or with no limiter.
+    ``_diagnostics`` records each step, the initial limit as step 0, into a
+    block of at most 64 KiB of cell averages, which it turns into
+    StepDiagnostics whenever it fills; ``evolve`` turns the part left after
+    the last step.  A RegionViolationError raised by the limiter aborts
+    the run with the failing step index attached (0 for that first limit)
+    and, where an RK3 step with per_step placement failed, a note that
+    this placement is outside the IRP theory.  A CFL step (before
     any clip to t_final) not above the end tolerance raises ValueError,
     since t could never reach t_final.
     """
@@ -309,6 +317,10 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                 theta_last = reports[-1].theta
                 speed = reports[-1].max_speed
             _diagnostics(step, t, dt, fld, block, reports)
+            # a quiet report keeps its node values until its speed is read,
+            # which happens only for a step's last report: the others go
+            # with the step, not one step later (0.5 MB at P2, N=2560)
+            del reports
     except RegionViolationError as err:
         err.step = step
         raise

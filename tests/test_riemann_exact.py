@@ -236,6 +236,22 @@ class TestSolveStar:
             RiemannProblem(PrimitiveState(1.0, 0.0, 1.0),
                            PrimitiveState(1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("slot", (0, 1, 2),
+                             ids=("density", "velocity", "pressure"))
+    @pytest.mark.parametrize("side", ("left", "right"))
+    def test_nonfinite_data_is_invalid_data(self, side, slot, value):
+        # a nan or infinite velocity used to reach solve_star and end in a
+        # float-range error there
+        states = {"left": [1.0, 0.5, 1.0], "right": [0.125, -0.5, 0.1]}
+        states[side][slot] = value
+        quantity = ("density", "velocity", "pressure")[slot]
+        with pytest.raises(ValueError, match=rf"^Riemann data requires a "
+                                             rf"finite {quantity}, got "
+                                             rf"{value} \({side}\)$"):
+            RiemannProblem(PrimitiveState(*states["left"]),
+                           PrimitiveState(*states["right"]))
+
 
 # ---- sampling -------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 kernel, one wave-speed formula, one step-record site, bounded caches and
 buffers, a public namespace of what the README imports, layer functions
 looked up through module globals, and mode-major coefficients along the
-step path."""
+step path, where no field is written in place."""
 
 import importlib
 import inspect
@@ -183,6 +183,24 @@ def test_the_step_path_keeps_coefficients_mode_major(monkeypatch, config):
     assert all(all(call) for calls in seen.values() for call in calls), seen
     assert final.coeffs.T.flags.c_contiguous
     assert final.averages().flags.c_contiguous
+
+
+@STEP_PATH_CONFIGS
+def test_the_step_path_writes_no_field_in_place(monkeypatch, config):
+    # a quiet limit returns its input field itself, so a write into one
+    # field's coefficients could change a field still in use; with every
+    # field read-only, a run must give the same bits
+    expected = irpdg.harness.run(config).result.final.coeffs.tobytes()
+    post_init = irpdg.dg_space.DGField.__post_init__
+
+    def read_only(fld):
+        post_init(fld)
+        fld.coeffs.flags.writeable = False
+
+    monkeypatch.setattr(irpdg.dg_space.DGField, "__post_init__", read_only)
+    final = irpdg.harness.run(config).result.final
+    assert not final.coeffs.flags.writeable
+    assert final.coeffs.tobytes() == expected
 
 
 @STEP_PATH_CONFIGS
