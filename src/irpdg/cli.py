@@ -1,9 +1,10 @@
 """Command-line front end: solve / converge / riemann-exact / diagnose.
 
 Flags mirror a flat ``key=value`` config file (``--config``); explicit flags
-override file entries.  Exit codes: 0 success, 2 configuration error,
-3 solver abort (admissible-region violation, a state the wave speed or the
-operator cannot take, or failed iteration).
+override file entries.  Exit codes: 0 success, 2 configuration error
+(also sizes whose arrays numpy cannot allocate), 3 solver abort
+(admissible-region violation, a state the wave speed or the operator
+cannot take, or failed iteration).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def read_config_file(path: str) -> dict[str, str]:
                 if key not in _SOLVER_OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return values
 
@@ -215,7 +216,8 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, VacuumError, OSError) as err:
+    # a MemoryError is numpy refusing an array the sizes given ask for
+    except (ConfigError, VacuumError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     # after ConfigError and VacuumError, a ValueError is the wave speed's or

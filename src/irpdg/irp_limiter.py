@@ -45,19 +45,20 @@ class RegionViolationError(RuntimeError):
 class FieldLimiterReport:
     """Vectorized limiter diagnostics for a whole field.
 
-    ``theta`` is each cell's rescaling, and ``theta1``-``theta3`` the
-    product of the ratios of its density, pressure and entropy constraints
-    (+inf where a constraint never acted).  ``quiet`` says that a positivity
-    or irp call found no cell in play and returned its input field itself;
-    such a report keeps (rho, m, p) at the test nodes, and ``max_speed``
-    computes the field's max |u| + c from them when first read, bit for bit
-    what ``global_max_signal_speed`` returns for it.  Otherwise
-    ``max_speed`` is None.
+    ``theta`` is each cell's rescaling, and ``n_rho_active``,
+    ``n_p_active`` and ``n_q_active`` count the cells whose density,
+    pressure and entropy constraints acted.  ``quiet`` says that a
+    positivity or irp call found no cell in play and returned its input
+    field itself; such a report keeps (rho, m, p) at the test nodes, and
+    ``max_speed`` computes the field's max |u| + c from them when first
+    read, bit for bit what ``global_max_signal_speed`` returns for it.
+    Otherwise ``max_speed`` is None.
     """
 
-    def __init__(self, thetas: np.ndarray, fallback_count: int = 0,
-                 nodes: tuple | None = None):
-        self.theta, self.theta1, self.theta2, self.theta3 = thetas
+    def __init__(self, theta: np.ndarray, counts=(0, 0, 0),
+                 fallback_count: int = 0, nodes: tuple | None = None):
+        self.theta = theta
+        self.n_rho_active, self.n_p_active, self.n_q_active = counts
         self.fallback_count = fallback_count
         self.quiet = nodes is not None
         self._nodes = nodes  # (rho, m, p, gamma) until max_speed is read
@@ -81,18 +82,6 @@ class FieldLimiterReport:
     @property
     def min_theta(self) -> float:
         return float(self.theta.min()) if self.theta.size else 1.0
-
-    @property
-    def n_rho_active(self) -> int:
-        return int(np.count_nonzero(np.isfinite(self.theta1)))
-
-    @property
-    def n_p_active(self) -> int:
-        return int(np.count_nonzero(np.isfinite(self.theta2)))
-
-    @property
-    def n_q_active(self) -> int:
-        return int(np.count_nonzero(np.isfinite(self.theta3)))
 
 
 def _node_states(modes: np.ndarray, region: InvariantRegion,
@@ -171,10 +160,9 @@ def limit_field(fld: DGField, region: InvariantRegion,
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
-    thetas = np.full((4, fld.n_cells), np.inf)  # theta, then theta1-3
-    thetas[0] = 1.0
+    theta = np.ones(fld.n_cells)
     if kind == LIMITER_NONE:
-        return fld, FieldLimiterReport(thetas)
+        return fld, FieldLimiterReport(theta)
 
     use_q = kind == LIMITER_IRP
     eps = region.eps
@@ -185,7 +173,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
     if not live.size:
         # every node has rho >= eps and a finite p >= eps
         return fld, FieldLimiterReport(
-            thetas, nodes=(rho_n, m_n, p_n, region.gamma))
+            theta, nodes=(rho_n, m_n, p_n, region.gamma))
 
     # Round 0's extrema over the nodes where each quantity is meaningful:
     # p over the nodes with rho > 0, a non-finite p counted as -inf, and q
@@ -201,7 +189,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
                                       q_n, -np.inf), axis=0))
 
     block = np.take(modes, live, axis=2)  # the cells in play, (k, 3, L)
-    theta = thetas[:, live]  # (4, L): theta, then theta1-3
+    block_theta = theta[live]
     rho_avg, m_avg, E_avg = block[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_avg, _, q_avg = gas_state(rho_avg, m_avg, E_avg, region)
@@ -211,7 +199,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
     inside = (rho_avg > eps) & (p_avg > eps) & (p_avg < np.inf)
     if use_q:
         inside &= q_avg <= Q_SLACK
-    touched = np.zeros(live.size, dtype=bool)
+    acted = np.zeros((3, live.size), dtype=bool)  # per constraint, as rows
     admissible = np.zeros(live.size, dtype=bool)  # as of the last pass
     for round_idx in range(4):
         if round_idx:
@@ -255,24 +243,20 @@ def limit_field(fld: DGField, region: InvariantRegion,
                        np.array([rho_avg - ext[0], p_avg - ext[1],
                                  ext[2] - q_avg]))
             t[2] = np.where(q_avg < 0.0, t[2], 0.0)  # theta3 = 0 where q >= 0
-            t = np.where(a, t, np.inf)
-            step = np.minimum(1.0, np.minimum.reduce(t, axis=0))
-            # each constraint's theta takes the product of its ratios
-            old = theta[1:]
-            theta[1:] = np.where(a, np.where(np.isfinite(old), old * t, t),
-                                 old)
+            step = np.minimum(
+                1.0, np.minimum.reduce(np.where(a, t, np.inf), axis=0))
         # inf * 0 is nan: a cell flattened to its mean drops the non-finite
         # modes (+0); the finite ones keep their signed zeros
         np.copyto(block[1:], 0.0,
                   where=(step == 0.0) & ~np.isfinite(block[1:]))
         block[1:] *= step
-        theta[0] *= step
-        touched |= active
+        block_theta *= step
+        acted |= a
 
     # Safety net: round-off can leave a node a few ulp outside after the
     # exact-arithmetic-tight rescalings; halve theta until the test set is
     # clean (rarely more than once, counted in diagnostics).
-    pending = touched & ~admissible
+    pending = acted.any(axis=0) & ~admissible
     rounds = fallbacks = 0
     while pending.any():
         if rounds == _MAX_FALLBACK:
@@ -281,12 +265,13 @@ def limit_field(fld: DGField, region: InvariantRegion,
                 cell=int(live[np.argmax(pending)]))
         half = np.where(pending, 0.5, 1.0)  # 1.0 keeps the other cells
         block[1:] *= half
-        theta[0] *= half
+        block_theta *= half
         fallbacks += int(np.count_nonzero(pending))
         rounds += 1
         rho_n, _, p_n, q_n = _node_states(block, region, V)
         pending &= ~_admissible(rho_n, p_n, q_n, eps, use_q)
     out = modes.copy()
     out[:, :, live] = block
-    thetas[:, live] = theta
-    return DGField(fld.degree, out.T), FieldLimiterReport(thetas, fallbacks)
+    theta[live] = block_theta
+    return DGField(fld.degree, out.T), FieldLimiterReport(
+        theta, np.count_nonzero(acted, axis=1).tolist(), fallbacks)

@@ -26,8 +26,7 @@ import numpy as np
 from .dg_space import DGField, Mesh1D, default_rule, \
     global_max_signal_speed, spatial_operator
 from .euler_core import InvariantRegion, gas_entropy, gas_pressure
-from .irp_limiter import LIMITER_IRP, LIMITER_NONE, RegionViolationError, \
-    limit_field
+from .irp_limiter import LIMITER_IRP, RegionViolationError, limit_field
 
 RK3 = "rk3"
 MS3 = "ms3"
@@ -195,7 +194,7 @@ class _RecordBlock:
 def _diagnostics(step: int, t: float, dt: float, fld: DGField,
                  block: _RecordBlock, reports) -> None:
     """Record one step into ``block``: the limiter counts of its reports
-    (none with no limiter) and its cell averages."""
+    and its cell averages."""
     if all(rep.quiet for rep in reports):
         # every limit found no cell in play and returned its field
         counts = (1.0, 0, 0, 0, 0, 0)
@@ -227,7 +226,8 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     or the last of the step before), which computes it when read, so an
     RK3 step's first two stage reports never compute theirs;
     ``global_max_signal_speed`` evaluates it only where that report has
-    none: after a limit that changed a cell, or with no limiter.
+    none: after a limit that changed a cell, or after a none-kind limit,
+    which each step calls where it would call any other kind.
     ``_diagnostics`` records each step, the initial limit as step 0, into a
     block of at most 64 KiB of cell averages, which it turns into
     StepDiagnostics whenever it fills; ``evolve`` turns the part left after
@@ -251,7 +251,6 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     def limit(f: DGField):
         return limit_field(f, region, opts.limiter_kind)
 
-    stage_limit = None if opts.limiter_kind == LIMITER_NONE else limit
     step, t, n_steps = 0, 0.0, 0
     t_tol = _END_TOL * max(1.0, opts.t_final)
     history = deque(maxlen=4)
@@ -259,7 +258,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     try:
         fld, rep0 = limit(fld)
         theta_last = rep0.theta
-        _diagnostics(0, 0.0, 0.0, fld, block, [rep0] if stage_limit else [])
+        _diagnostics(0, 0.0, 0.0, fld, block, [rep0])
         speed = rep0.max_speed  # the wave speed of fld, where already known
         if multistep and opts.t_final > 0.0:
             # Constant dt for the whole run, frozen from the initial signal
@@ -296,13 +295,11 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             if len(history) == 4:
                 fld = DGField(fld.degree,
                               ssp_ms3_step(*history[-1], *history[0], dt))
-                reports = []
-                if stage_limit is not None:
-                    fld, rep = stage_limit(fld)
-                    reports.append(rep)
+                fld, rep = limit(fld)
+                reports = [rep]
             else:
                 try:
-                    fld, reports = ssp_rk3_step(fld, dt, rhs, stage_limit,
+                    fld, reports = ssp_rk3_step(fld, dt, rhs, limit,
                                                 per_stage, rhs0=residual)
                 except RegionViolationError as err:
                     if not per_stage:
@@ -312,10 +309,8 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                     raise
             step += 1
             t = step * dt if multistep else t + dt
-            speed = None
-            if reports:
-                theta_last = reports[-1].theta
-                speed = reports[-1].max_speed
+            theta_last = reports[-1].theta
+            speed = reports[-1].max_speed
             _diagnostics(step, t, dt, fld, block, reports)
             # a quiet report keeps its node values until its speed is read,
             # which happens only for a step's last report: the others go

@@ -34,7 +34,11 @@ from irpdg.irp_limiter import LIMITER_IRP, LIMITER_KINDS, \
 GAMMA = 1.4
 REGION = InvariantRegion(GAMMA, s0=-1.0)
 DEGREES = (1, 2, 3)
-REPORT_ARRAYS = ("theta", "theta1", "theta2", "theta3", "activated")
+REPORT_ARRAYS = ("theta", "activated")
+# each constraint's count against the oracle's product of its ratios, which
+# is finite where the constraint acted
+REPORT_COUNTS = (("n_rho_active", "theta1"), ("n_p_active", "theta2"),
+                 ("n_q_active", "theta3"))
 
 
 def oracle_flux(rho, m, E, gamma):
@@ -225,6 +229,9 @@ def assert_limiter_matches(fld, region, kind):
     assert np.array_equal(out.coeffs, coeffs)
     for name in REPORT_ARRAYS:
         assert np.array_equal(getattr(rep, name), expected[name]), name
+    for name, key in REPORT_COUNTS:
+        assert getattr(rep, name) == \
+            np.count_nonzero(np.isfinite(expected[key])), name
     assert rep.fallback_count == expected["fallback_count"]
     return rep
 
@@ -305,7 +312,7 @@ def test_limit_field_bit_exact_when_a_cell_needs_three_rounds(monkeypatch):
     rep = assert_limiter_matches(fld, REGION, LIMITER_IRP)
     assert calls == [30, 1, 1, 1] and rep.fallback_count == 0
     assert np.flatnonzero(rep.activated).tolist() == [17]
-    assert np.isfinite([rep.theta1[17], rep.theta2[17], rep.theta3[17]]).all()
+    assert (rep.n_rho_active, rep.n_p_active, rep.n_q_active) == (1, 1, 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -340,7 +347,7 @@ def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
     calls.clear()
     _, rep = limit_field(fld, REGION)
     assert np.flatnonzero(rep.activated).tolist() == [7, 23]
-    assert np.isfinite(rep.theta3[[7, 23]]).all() and rep.fallback_count == 0
+    assert rep.n_q_active == 2 and rep.fallback_count == 0
     assert calls == [40, 2]
 
 
@@ -798,6 +805,10 @@ FINAL_FIELD_SHA256 = {
     "lax_rk3": (
         RunConfig(problem="lax", degree=2, n_cells=40, t_final=0.05),
         "6d41a83935f13b0de5da8ad54db3b43bfd9de049d9ac23886e8b62e9b5f29dfd"),
+    "advection_rk3_none": (
+        RunConfig(problem="smooth_advection", degree=2, n_cells=16,
+                  t_final=0.02, limiter="none"),
+        "ca52e4c555a73c0adb355ae27d28ee0b1815bd63d00e3f1cbe7d9c84b5ec729e"),
 }
 
 
@@ -808,9 +819,9 @@ def test_final_fields_keep_their_bits(name):
     assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
 
-# The pinned runs, a positivity run and an MS3 run without a limiter.  On
-# the 64-cell Shu-Osher run every limit has a cell in play, and the none
-# kind never reports a speed.
+# The pinned runs (one of them RK3 without a limiter), a positivity run and
+# an MS3 run without a limiter.  On the 64-cell Shu-Osher run every limit
+# has a cell in play, and the none kind never reports a speed.
 SPEED_RUNS = {
     **{name: config for name, (config, _) in FINAL_FIELD_SHA256.items()},
     "lax_positivity": RunConfig(problem="lax", degree=2, n_cells=40,
@@ -819,7 +830,8 @@ SPEED_RUNS = {
                                     n_cells=16, integrator="ms3",
                                     t_final=0.02, limiter="none"),
 }
-NO_SPEED_REPORTED = ("shu_osher_rk3", "advection_ms3_none")
+NO_SPEED_REPORTED = ("shu_osher_rk3", "advection_ms3_none",
+                     "advection_rk3_none")
 
 
 @pytest.mark.parametrize("name", sorted(SPEED_RUNS))
@@ -920,7 +932,7 @@ def assert_same_records(got, expected):
         assert repr(g) == repr(e)
 
 
-# The speed runs (the pinned ones, a positivity run, a none run and MS3
+# The speed runs (the pinned ones, a positivity run, none runs and MS3
 # runs), each shorter than one block, and a size whose block is one row.
 RECORD_RUNS = {
     **SPEED_RUNS,

@@ -392,9 +392,12 @@ class TestCli:
         ["--cfl", "0"], ["--cfl", "-0.5"], ["--cfl", "nan"],
         ["--gamma", "nan"], ["--eps", "nan"], ["--tfinal", "inf"],
         ["--domain=1,-1"], ["--domain=nan,1"], ["--domain=0,inf"],
-        ["--domain=-1e308,1.7e308"]])
+        ["--domain=-1e308,1.7e308"], ["--cells=10000000000000"]])
     def test_bad_numbers_exit_2_at_once(self, flags, tmp_path):
-        # a subprocess with a timeout, because --cfl 0 used to step forever
+        # a subprocess with a timeout, because --cfl 0 used to step forever;
+        # 1e13 cells ask numpy for 72.8 TiB in one array, which it refuses
+        # at once (a MemoryError traceback with exit 1 before), and no size
+        # the machine could try to allocate is tested
         assert_exits_2_at_once(
             ["solve", "--problem", "lax", *flags], tmp_path)
 
@@ -406,10 +409,12 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", [
         "--left=1,0,0", "--left=1,0,-1", "--gamma=1", "--left=1,nan,1",
-        "--time=inf", "--x0=nan", "--domain=1,0", "--domain=-1e308,1.7e308"])
+        "--time=inf", "--x0=nan", "--domain=1,0", "--domain=-1e308,1.7e308",
+        "--samples=10000000000000"])
     def test_riemann_exact_bad_input_exits_2_at_once(self, flag, tmp_path):
         # each used to end in a traceback, a 200-step Newton failure or a
-        # written file; the flag given last overrides the valid one
+        # written file; the flag given last overrides the valid one.  1e13
+        # samples ask numpy for 72.8 TiB in one array, as 1e13 cells do
         assert_exits_2_at_once(
             ["riemann-exact", "--left=1,0,1", "--right=0.125,0,0.1",
              "--time=0.2", "--domain=-1,1", flag], tmp_path)
@@ -577,6 +582,12 @@ class TestCli:
         # each used to end in a ValueError traceback with exit 1
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"problem=lax\n{entry}\n")
+        assert_exits_2_at_once(["solve", "--config", str(cfgfile)], tmp_path)
+
+    def test_config_file_not_utf8_exits_2_at_once(self, tmp_path):
+        # the decode error used to end as a solver abort with exit 3
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"problem=lax\n\xff\xfe\n")
         assert_exits_2_at_once(["solve", "--config", str(cfgfile)], tmp_path)
 
     def test_custom_riemann_zero_pressure_exits_2(self, tmp_path):

@@ -95,6 +95,11 @@ def limit_one(fld, region=REGION, kind=LIMITER_IRP):
     return out.coeffs, rep
 
 
+def active_counts(rep):
+    """The cells whose density, pressure and entropy constraints acted."""
+    return rep.n_rho_active, rep.n_p_active, rep.n_q_active
+
+
 # P1 density with test-node values -1 and 3 about an average of 1; the
 # energy 25 (p = 10) keeps every node's entropy inside the region
 C1_DIP = 2.0 / np.sqrt(3.0)
@@ -140,14 +145,17 @@ class TestCellRatios:
         coeffs, rep = limit_one(fld)
         assert rep.theta[0] == 1.0
         assert not rep.activated[0]
-        assert rep.theta1[0] == np.inf and rep.theta3[0] == np.inf
+        assert active_counts(rep) == (0, 0, 0)
         np.testing.assert_array_equal(coeffs, fld.coeffs)
 
     def test_density_violation(self):
-        _, rep = limit_one(single_cell_field(1, *DENSITY_DIP))
+        fld = single_cell_field(1, *DENSITY_DIP)
+        _, rep = limit_one(fld)
         expected = (1.0 - REGION.eps) / 2.0
         assert rep.theta[0] == pytest.approx(expected, rel=1e-13)
-        assert rep.theta[0] == rep.theta1[0]
+        assert active_counts(rep) == (1, 0, 0)
+        theta1 = oracle_theta(fld.coeffs[0, :, 0], oracle_extrema(fld, 0))[1]
+        assert rep.theta[0] == pytest.approx(theta1, rel=1e-13)
         assert rep.activated[0]
 
     def test_entropy_violation(self):
@@ -156,13 +164,15 @@ class TestCellRatios:
         _, rep = limit_one(fld)
         assert oracle_extrema(fld, 0)[2] == pytest.approx(1.0, rel=1e-13)
         assert rep.theta[0] == pytest.approx(0.5, rel=1e-13)
-        assert rep.theta[0] == rep.theta3[0]
+        assert active_counts(rep) == (0, 0, 1)
+        theta3 = oracle_theta(fld.coeffs[0, :, 0], oracle_extrema(fld, 0))[3]
+        assert rep.theta[0] == pytest.approx(theta3, rel=1e-13)
 
     def test_positivity_kind_ignores_entropy(self):
         fld = single_cell_field(1, *ENTROPY_DIP)
         coeffs, rep = limit_one(fld, kind=LIMITER_POSITIVITY)
         assert rep.theta[0] == 1.0
-        assert rep.theta3[0] == np.inf
+        assert active_counts(rep) == (0, 0, 0)
         np.testing.assert_array_equal(coeffs, fld.coeffs)
 
     def test_average_outside_interior_raises(self):
@@ -180,8 +190,8 @@ class TestCellRatios:
         for gamma, E in ((2.0, 1.0), (GAMMA, 2.5)):
             fld = single_cell_field(1, [1.0], [0.0], [E, -0.1])
             coeffs, rep = limit_one(fld, InvariantRegion(gamma, s0=0.0))
-            for theta in (rep.theta[0], rep.theta3[0]):
-                assert theta == 0.0 and not np.signbit(theta)
+            assert rep.theta[0] == 0.0 and not np.signbit(rep.theta[0])
+            assert active_counts(rep) == (0, 0, 1)
             np.testing.assert_array_equal(coeffs[0, :, 0], fld.coeffs[0, :, 0])
             np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
         # the same average against s0 = 1e-6 has q = 1e-6, far above
@@ -198,7 +208,7 @@ class TestCellRatios:
             assert np.isnan(node_states(fld, REGION).rho).any()
         for kind in (LIMITER_POSITIVITY, LIMITER_IRP):
             coeffs, rep = limit_one(fld, kind=kind)
-            assert rep.theta[0] == rep.theta1[0] == 0.0
+            assert rep.theta[0] == 0.0 and rep.n_rho_active == 1
             np.testing.assert_array_equal(coeffs[0, :, 0],
                                           fld.coeffs[0, :, 0])
             np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
@@ -209,7 +219,7 @@ class TestCellRatios:
         # average density fails the average test
         slope = single_cell_field(2, [1.0, np.inf], [0.0], [2.5])
         coeffs, rep = limit_one(slope)
-        assert rep.theta[0] == rep.theta1[0] == 0.0
+        assert rep.theta[0] == 0.0 and rep.n_rho_active == 1
         assert rep.fallback_count == 0
         np.testing.assert_array_equal(coeffs[0, :, 0], slope.coeffs[0, :, 0])
         np.testing.assert_array_equal(coeffs[0, :, 1:], 0.0)
@@ -398,7 +408,9 @@ class TestLimitField:
         # (``oracle_theta``) on every cell where the one-shot formula
         # applies (finite q extrema); cells with q-undefined nodes take the
         # sequential positivity-then-entropy route, so only their
-        # positivity ratios are comparable.
+        # positivity constraints are comparable.  Each cell limited on its
+        # own gives its theta and coefficients bit for bit, and its report's
+        # counts say which of its constraints acted.
         rng = np.random.default_rng(53)
         rule = default_rule(3)
         compared = 0
@@ -407,24 +419,30 @@ class TestLimitField:
             out, rep = limit_field(fld, REGION)
             V = basis_values(3, rule.nodes)
             for c in range(40):
+                cell_out, cell = limit_field(
+                    DGField(3, fld.coeffs[c:c + 1]), REGION)
+                assert cell.theta[0] == rep.theta[c]
+                np.testing.assert_array_equal(cell_out.coeffs[0],
+                                              out.coeffs[c])
                 extrema = oracle_extrema(fld, c)
-                theta, theta1, theta2, theta3 = oracle_theta(
-                    fld.coeffs[c, :, 0], extrema)
-                # report slots accumulate across repair rounds; a round-off
-                # re-activation multiplies in a ratio of 1-O(1e-11), so the
-                # comparison is against the one-shot value at that tolerance
-                assert rep.theta1[c] == pytest.approx(theta1, rel=1e-9)
+                theta, *ratios = oracle_theta(fld.coeffs[c, :, 0], extrema)
+                acted = np.isfinite(ratios).astype(int).tolist()
+                # round 0 rescales by at most each ratio it evaluates, and
+                # later rounds only shrink theta; a round-off re-activation
+                # multiplies in a factor of 1-O(1e-11), so the comparisons
+                # are at 1e-9
+                assert cell.n_rho_active == acted[0]
+                assert rep.theta[c] <= ratios[0] * (1.0 + 1e-9)
                 # the pressure formula only means anything where rho > 0;
                 # cells with invalid-density nodes take extra repair rounds
                 # the one-shot operation cannot see
                 if np.all(V @ fld.coeffs[c, 0] > 0.0):
-                    assert rep.theta2[c] == pytest.approx(theta2, rel=1e-9)
+                    assert cell.n_p_active == acted[1]
+                    assert rep.theta[c] <= ratios[1] * (1.0 + 1e-9)
                 if np.isfinite(extrema[2]):
                     compared += 1
-                    combined = min(1.0, rep.theta1[c], rep.theta2[c],
-                                   rep.theta3[c])
-                    assert combined == pytest.approx(theta, rel=1e-9)
-                    assert rep.theta3[c] == pytest.approx(theta3, rel=1e-9)
+                    assert rep.theta[c] == pytest.approx(theta, rel=1e-9)
+                    assert cell.n_q_active == acted[2]
         assert compared >= 20  # the one-shot route is actually exercised
 
     def test_positivity_kind_leaves_entropy_violations(self):

@@ -12,6 +12,7 @@ import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import irpdg
@@ -19,6 +20,7 @@ import irpdg.dg_space
 import irpdg.harness
 import irpdg.irp_limiter
 import irpdg.time_integration
+from irpdg.euler_core import InvariantRegion
 from irpdg.harness import RunConfig
 from irpdg.time_integration import _record_block_rows
 
@@ -99,6 +101,25 @@ def test_the_sound_speed_is_written_once():
 def test_the_record_block_holds_at_most_64_kib(n_cells):
     # the block's averages add to the solve's peak memory
     assert _record_block_rows(n_cells) == max(1, 65536 // (24 * n_cells))
+
+
+@pytest.mark.parametrize("kind", irpdg.irp_limiter.LIMITER_KINDS)
+@pytest.mark.parametrize("dip", (False, True), ids=("quiet", "limited"))
+def test_the_limiter_report_holds_no_per_cell_array_but_theta(kind, dip):
+    # the step reads theta, three counts, the fallback count and the speed;
+    # a quiet report keeps its node values, in a tuple, only until its
+    # speed is read
+    coeffs = np.zeros((8, 3, 3))
+    coeffs[:, 0, 0], coeffs[:, 2, 0] = 1.0, 2.5
+    if dip:
+        coeffs[5, 0, 1] = 2.0  # a density node below 0
+    fld = irpdg.dg_space.DGField(2, coeffs)
+    _, rep = irpdg.irp_limiter.limit_field(
+        fld, InvariantRegion(1.4, s0=-1.0), kind)
+    assert rep.n_activated == (dip and kind != "none")
+    arrays = {name for name, value in vars(rep).items()
+              if isinstance(value, np.ndarray)}
+    assert arrays == {"theta"} and rep.theta.shape == (8,)
 
 
 def test_step_records_are_built_at_one_site():
