@@ -302,14 +302,31 @@ def _node_values(modes: np.ndarray, even: np.ndarray, odd: np.ndarray,
     return out
 
 
+def operator_scratch(degree: int, n_cells: int) -> tuple:
+    """Work arrays for ``spatial_operator`` calls on ``n_cells`` cells of
+    ``degree``: the (6, q+2, n) node block, the (2, 6, n+1) interface
+    states, the Lax-Friedrichs flux and its dissipation term (2, 3, n+1),
+    and one (k, 3, n) lifting product.  Every call overwrites all of it
+    before reading it, so one set serves any number of calls, one at a time.
+    """
+    k, n = degree + 1, n_cells  # k modes, and as many volume nodes
+    return (np.empty((6, k + 2, n)), np.empty((2, 6, n + 1)),
+            np.empty((2, 3, n + 1)), np.empty((k, 3, n)))
+
+
 def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
-                     alpha: float) -> np.ndarray:
+                     alpha: float, scratch: tuple | None = None) -> np.ndarray:
     """Semi-discrete DG right-hand side; shape and mode-major layout of
     ``fld.coeffs`` (a transposed view of one (k, 3, n_cells) block).
 
     Volume integrals use degree+1 Gauss-Legendre points; interface fluxes are
     global Lax-Friedrichs with the supplied alpha.  An inflow_outflow mesh
     supplies the prescribed upstream state (``mesh.inflow``).
+
+    ``scratch`` holds the work arrays (``operator_scratch`` of the field's
+    degree and cell count); a call without one allocates its own.  The
+    residual is a fresh array on every call, and it belongs to the caller,
+    who may write into it; nothing of it lives in the scratch.
 
     Summation order is fixed, so results are reproducible bit for bit.  It
     is the order of the einsums the operator was first written with over
@@ -323,13 +340,14 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
         raise ValueError("field and mesh cell counts differ")
     vol, even, odd, Dq, phi_left, phi_right = _operator_tables(fld.degree)
     nq = vol.nodes.size
-    n = fld.n_cells
-
-    # rows 0-2: (rho, m, E) at the volume nodes and then at the left and the
-    # right edge of every cell, (node, cell) in each row; rows 3-5: the
-    # physical flux of those states, which also hold the odd modes' sum
-    # until then
-    nodes = np.empty((6, nq + 2, n))
+    if scratch is None:
+        scratch = operator_scratch(fld.degree, fld.n_cells)
+    # nodes: rows 0-2 hold (rho, m, E) at the volume nodes and then at the
+    # left and the right edge of every cell, (node, cell) in each row; rows
+    # 3-5 the physical flux of those states, which also hold the odd modes'
+    # sum until then.  left, right: state and flux on the left and the
+    # right of each interface, one contiguous (6, n+1) block each.
+    nodes, (left, right), (fluxes, jump), lift = scratch
     rho = _node_values(fld.coeffs.T, even, odd, nodes[:3], nodes[3:])[0]
     zero = not rho.all()  # some node density is exactly 0
     if zero and np.any(rho[:nq] == 0.0):
@@ -340,31 +358,32 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
         raise ZeroDivisionError("zero density at a cell interface trace")
     _euler_flux(*nodes[:3], gamma, out=nodes[3:])
 
-    # state and flux on the left (w[:, 0]) and right (w[:, 1]) of each interface
     left_edge, right_edge = nodes[:, nq], nodes[:, nq + 1]
-    w = np.empty((6, 2, n + 1))
-    w[:, 0, 1:] = right_edge
-    w[:, 1, :-1] = left_edge
+    left[:, 1:] = right_edge
+    right[:, :-1] = left_edge
     if mesh.boundary == PERIODIC:
-        w[:, 0, 0] = right_edge[:, -1]
-        w[:, 1, -1] = left_edge[:, 0]
+        left[:, 0] = right_edge[:, -1]
+        right[:, -1] = left_edge[:, 0]
     elif mesh.boundary == INFLOW_OUTFLOW:
-        w[:3, 0, :1] = np.reshape(mesh.inflow, (3, 1))
-        _euler_flux(*w[:3, 0, :1], gamma, out=w[3:, 0, :1])
-        w[:, 1, -1] = right_edge[:, -1]
+        left[:3, :1] = np.reshape(mesh.inflow, (3, 1))
+        _euler_flux(*left[:3, :1], gamma, out=left[3:, :1])
+        right[:, -1] = right_edge[:, -1]
     else:  # outflow: ghost states copy the interior trace
-        w[:, 0, 0] = left_edge[:, 0]
-        w[:, 1, -1] = right_edge[:, -1]
-    # Lax-Friedrichs: central flux plus alpha-weighted dissipation
-    fluxes = 0.5 * (w[3:, 0] + w[3:, 1]) \
-        - 0.5 * alpha * (w[:3, 1] - w[:3, 0])  # (3, n_cells+1)
-    del w  # a smaller peak footprint: freed before the volume term
+        left[:, 0] = left_edge[:, 0]
+        right[:, -1] = right_edge[:, -1]
+    # Lax-Friedrichs: central flux 0.5 * (f_L + f_R) minus the dissipation
+    # 0.5 * alpha * (w_R - w_L), (3, n_cells+1) each
+    np.add(left[3:], right[3:], out=fluxes)
+    fluxes *= 0.5
+    np.subtract(right[:3], left[:3], out=jump)
+    jump *= 0.5 * alpha
+    fluxes -= jump
 
     F = nodes[3:, :nq]
     F *= vol.weights[:, None]
     resid = np.einsum("vqc,qj->jvc", F, Dq,
-                      out=np.empty((fld.degree + 1, 3, n)))
-    resid -= fluxes[:, 1:] * phi_right
-    resid += fluxes[:, :-1] * phi_left
+                      out=np.empty((fld.degree + 1, 3, fld.n_cells)))
+    resid -= np.multiply(fluxes[:, 1:], phi_right, out=lift)
+    resid += np.multiply(fluxes[:, :-1], phi_left, out=lift)
     resid /= mesh.h
     return resid.T  # mode-major, as fld.coeffs

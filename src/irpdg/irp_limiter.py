@@ -47,22 +47,30 @@ class FieldLimiterReport:
 
     ``theta`` is each cell's rescaling, and ``n_rho_active``,
     ``n_p_active`` and ``n_q_active`` count the cells whose density,
-    pressure and entropy constraints acted.  ``quiet`` says that a
-    positivity or irp call found no cell in play and returned its input
-    field itself; such a report keeps (rho, m, p) at the test nodes, and
-    ``max_speed`` computes the field's max |u| + c from them when first
-    read, bit for bit what ``global_max_signal_speed`` returns for it.
-    Otherwise ``max_speed`` is None.
+    pressure and entropy constraints acted.  ``quiet`` says that the call
+    returned its input field itself: a none-kind call always does, a
+    positivity or irp call when it finds no cell in play.  Every positivity
+    or irp report keeps (rho, m, p) at the test nodes of the field it
+    returned, until ``max_speed`` is read or ``drop_nodes`` called, and
+    ``max_speed`` computes that field's max |u| + c from them when first
+    read, bit for bit what ``global_max_signal_speed`` returns for it.  A
+    none-kind report has no node values, and its ``max_speed`` is None.
     """
 
     def __init__(self, theta: np.ndarray, counts=(0, 0, 0),
-                 fallback_count: int = 0, nodes: tuple | None = None):
+                 fallback_count: int = 0, nodes: tuple | None = None,
+                 quiet: bool = False):
         self.theta = theta
         self.n_rho_active, self.n_p_active, self.n_q_active = counts
         self.fallback_count = fallback_count
-        self.quiet = nodes is not None
+        self.quiet = quiet
         self._nodes = nodes  # (rho, m, p, gamma) until max_speed is read
         self._speed: float | None = None
+
+    def drop_nodes(self) -> None:
+        """Forget the node values kept for ``max_speed``: it stays None
+        unless it was read before."""
+        self._nodes = None
 
     @property
     def max_speed(self) -> float | None:
@@ -148,39 +156,44 @@ def limit_field(fld: DGField, region: InvariantRegion,
     The none kind evaluates nothing and returns its input field.  The other
     kinds make one node pass over every cell, and the cells with a node
     outside the region are in play.  When none is, the call is quiet: it
-    returns its input field itself, and its report computes the field's
-    wave speed from the same node values if and when ``max_speed`` is read.
-    Otherwise the cells in play are gathered once into one block, which
-    every later step works on whole; a cell with no active constraint in a
-    round is rescaled by exactly 1.0, which keeps its bits.  After each
-    rescaling one node pass over the block gives both the next round's
-    extrema and the fallback's admissibility test; the rounds end when
-    every cell passes it, since an admissible cell violates no constraint.
-    The block is written into a copy of the coefficients, the new field.
+    returns its input field itself.  Otherwise the cells in play are
+    gathered once into one block, which every later step works on whole; a
+    cell with no active constraint in a round is rescaled by exactly 1.0,
+    which keeps its bits.  After each rescaling one node pass over the
+    block gives both the next round's extrema and the fallback's
+    admissibility test; the rounds end when every cell passes it, since an
+    admissible cell violates no constraint.  The block is written into a
+    copy of the coefficients, the new field.  Either way the report
+    computes the new field's wave speed, if and when ``max_speed`` is read,
+    from the first pass's node values, where the block's last node pass
+    replaces the columns of the cells in play: over a gathered block the
+    node kernel gives each column the bits it gives over the whole field.
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
     theta = np.ones(fld.n_cells)
     if kind == LIMITER_NONE:
-        return fld, FieldLimiterReport(theta)
+        return fld, FieldLimiterReport(theta, quiet=True)
 
     use_q = kind == LIMITER_IRP
     eps = region.eps
     V = _test_table(fld.degree)
     modes = fld.coeffs.T  # mode-major: (k, 3, n), C-contiguous
-    rho_n, m_n, p_n, q_n = _node_states(modes, region, V)
-    live = np.flatnonzero(~_admissible(rho_n, p_n, q_n, eps, use_q))
+    rho_f, m_f, p_f, q_f = _node_states(modes, region, V)
+    live = np.flatnonzero(~_admissible(rho_f, p_f, q_f, eps, use_q))
+    # every node of an admissible cell has rho >= eps and a finite p >= eps,
+    # and so has every node of the limited cells (see below)
+    speed_nodes = (rho_f, m_f, p_f, region.gamma)
     if not live.size:
-        # every node has rho >= eps and a finite p >= eps
-        return fld, FieldLimiterReport(
-            theta, nodes=(rho_n, m_n, p_n, region.gamma))
+        return fld, FieldLimiterReport(theta, nodes=speed_nodes, quiet=True)
 
     # Round 0's extrema over the nodes where each quantity is meaningful:
     # p over the nodes with rho > 0, a non-finite p counted as -inf, and q
     # where it is finite over the nodes with rho > 0 and p > 0.  A cell
     # whose q overflowed to +inf is in play with no constraint active in
     # round 0; round 1 keeps that q and flags the cell.
-    rho_n, p_n, q_n = rho_n[:, live], p_n[:, live], q_n[:, live]
+    rho_n, p_n, q_n = rho_f[:, live], p_f[:, live], q_f[:, live]
+    m_n = None  # until a node pass over the block
     p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
     rho_pos = rho_n > 0.0
     ext = (np.minimum.reduce(rho_n, axis=0),
@@ -206,7 +219,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
             # An admissible cell violates no constraint; otherwise take the
             # extrema over the nodes where each quantity is meaningful (see
             # the docstring).
-            rho_n, _, p_n, q_n = _node_states(block, region, V)
+            rho_n, m_n, p_n, q_n = _node_states(block, region, V)
             admissible = _admissible(rho_n, p_n, q_n, eps, use_q)
             if round_idx == 3 or admissible.all():
                 break
@@ -268,10 +281,16 @@ def limit_field(fld: DGField, region: InvariantRegion,
         block_theta *= half
         fallbacks += int(np.count_nonzero(pending))
         rounds += 1
-        rho_n, _, p_n, q_n = _node_states(block, region, V)
+        rho_n, m_n, p_n, q_n = _node_states(block, region, V)
         pending &= ~_admissible(rho_n, p_n, q_n, eps, use_q)
+    if m_n is not None:
+        # The block's last node pass came after its last rescaling.  Each
+        # cell passed it or had no active constraint: either way its nodes
+        # have rho >= eps and a finite p >= eps.
+        rho_f[:, live], m_f[:, live], p_f[:, live] = rho_n, m_n, p_n
     out = modes.copy()
     out[:, :, live] = block
     theta[live] = block_theta
     return DGField(fld.degree, out.T), FieldLimiterReport(
-        theta, np.count_nonzero(acted, axis=1).tolist(), fallbacks)
+        theta, np.count_nonzero(acted, axis=1).tolist(), fallbacks,
+        speed_nodes)

@@ -5,15 +5,18 @@ Runge-Kutta scheme with an adaptive step, and the two-term SSP multistep
 scheme, which requires a constant step and is bootstrapped by three RK3
 steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
 first Gauss-Lobatto weight of the active test set, the set the limiter
-checks: where a limit finds no cell in play, it returns its field itself,
-and its report computes that wave speed from its node values when read;
-a step reads it from the one report whose field the next step starts
-from.  Each step leaves one record (``StepDiagnostics``): its limiter
-counts are taken as the step ends, its conserved totals and minimum
-average entropy a block of steps at a time, vectorized over the block,
-with the same bits as one step at a time.  The stage arithmetic on
-mode-major coefficients (``DGField``) and residuals gives mode-major arrays,
-so no step copies a field into another layout.
+checks: a positivity or irp limit's report computes that wave speed from
+the node values of the field it returned when read (where the limit finds
+no cell in play, that field is its input itself); a step reads it from the
+one report whose field the next step starts from.  Each step leaves one
+record (``StepDiagnostics``): its limiter counts are taken as the step
+ends, its conserved totals and minimum average entropy a block of steps at
+a time, vectorized over the block, with the same bits as one step at a
+time.  A stage is computed in place in the residual the step's operator
+call just returned, which is the caller's to overwrite; the operator's work
+arrays belong to the run (``evolve``).  The stage arithmetic on mode-major
+coefficients (``DGField``) and residuals gives mode-major arrays, so no
+step copies a field into another layout.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dg_space import DGField, Mesh1D, default_rule, \
-    global_max_signal_speed, spatial_operator
+    global_max_signal_speed, operator_scratch, spatial_operator
 from .euler_core import InvariantRegion, gas_entropy, gas_pressure
 from .irp_limiter import LIMITER_IRP, RegionViolationError, limit_field
 
@@ -101,35 +104,51 @@ def _check_reaches_t_final(dt: float, t_tol: float, step: int) -> None:
             f"tolerance {t_tol:.6g}; t_final cannot be reached")
 
 
-def ssp_rk3_step(fld: DGField, dt: float, rhs, limit=None,
+def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
                  per_stage: bool = True, rhs0: np.ndarray | None = None):
     """One SSP RK3 step; returns (new field, stage limiter reports).
 
-    ``rhs`` maps a field to its residual coefficients; ``limit`` maps a field
-    to (limited field, report) and may be None.  The final stage is always
-    limited when a limiter is supplied; intermediate stages only when
-    ``per_stage``.  ``rhs0`` optionally reuses a precomputed rhs(fld).
+    ``rhs`` maps a field to its residual coefficients, a fresh array that
+    the step then owns: it computes each stage in place in the residual
+    it was built from (IEEE + and * commute, so with the bits of the
+    textbook formulas).  ``limit`` maps a field to (limited field, report);
+    the final stage is always limited, intermediate stages only when
+    ``per_stage``.  ``rhs0`` optionally reuses a precomputed rhs(fld),
+    which stays the caller's: the step only reads it, as it reads
+    ``fld``.
     """
     reports = []
 
     def _limit(f: DGField) -> DGField:
-        if limit is None:
-            return f
         limited, rep = limit(f)
         reports.append(rep)
         return limited
 
     w = fld.coeffs
-    r0 = rhs(fld) if rhs0 is None else rhs0
-    s1 = DGField(fld.degree, w + dt * r0)
+    if rhs0 is None:
+        s = rhs(fld)
+        s *= dt
+    else:
+        s = dt * rhs0
+    s += w  # w + dt * r0
+    s1 = DGField(fld.degree, s)
     if per_stage:
         s1 = _limit(s1)
-    s2 = DGField(fld.degree, 0.75 * w + 0.25 * (s1.coeffs + dt * rhs(s1)))
+    s = rhs(s1)  # 0.75 * w + 0.25 * (s1 + dt * rhs(s1))
+    s *= dt
+    s += s1.coeffs
+    s *= 0.25
+    s += 0.75 * w
+    s2 = DGField(fld.degree, s)
     if per_stage:
         s2 = _limit(s2)
-    s3 = DGField(fld.degree, (w + 2.0 * (s2.coeffs + dt * rhs(s2))) / 3.0)
-    s3 = _limit(s3)
-    return s3, reports
+    s = rhs(s2)  # (w + 2 * (s2 + dt * rhs(s2))) / 3
+    s *= dt
+    s += s2.coeffs
+    s *= 2.0
+    s += w
+    s /= 3.0
+    return _limit(DGField(fld.degree, s)), reports
 
 
 def ssp_ms3_step(w_now: np.ndarray, r_now: np.ndarray, w_old: np.ndarray,
@@ -138,9 +157,17 @@ def ssp_ms3_step(w_now: np.ndarray, r_now: np.ndarray, w_old: np.ndarray,
 
     Combines the current solution and the one three steps back, each with
     its residual; all four steps must have been taken at the same dt.
+    Reads its arguments only, and computes (16/27) (w_now + 3 dt r_now) +
+    (11/27) (w_old + (12/11) dt r_old) in two new arrays, bit for bit.
     """
-    return (16.0 / 27.0) * (w_now + 3.0 * dt * r_now) \
-        + (11.0 / 27.0) * (w_old + (12.0 / 11.0) * dt * r_old)
+    out = (3.0 * dt) * r_now
+    out += w_now
+    out *= 16.0 / 27.0
+    old = ((12.0 / 11.0) * dt) * r_old
+    old += w_old
+    old *= 11.0 / 27.0
+    out += old
+    return out
 
 
 def _record_block_rows(n_cells: int) -> int:
@@ -196,14 +223,15 @@ def _diagnostics(step: int, t: float, dt: float, fld: DGField,
     """Record one step into ``block``: the limiter counts of its reports
     and its cell averages."""
     if all(rep.quiet for rep in reports):
-        # every limit found no cell in play and returned its field
+        # every limit returned its field: none kind, or no cell in play
         counts = (1.0, 0, 0, 0, 0, 0)
     else:
-        activated = np.zeros(fld.n_cells, dtype=bool)
-        for rep in reports:
-            activated |= rep.activated
-        counts = (min(rep.min_theta for rep in reports),
-                  int(np.count_nonzero(activated)),
+        # each cell's smallest theta: its minimum is the step's, and a cell
+        # some limit activated has one below 1
+        theta = reports[0].theta
+        for rep in reports[1:]:
+            theta = np.minimum(theta, rep.theta)
+        counts = (float(theta.min()), int(np.count_nonzero(theta < 1.0)),
                   sum(rep.n_rho_active for rep in reports),
                   sum(rep.n_p_active for rep in reports),
                   sum(rep.n_q_active for rep in reports),
@@ -221,13 +249,17 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     the step's flux alpha.  MS3 freezes one dt that lands on t_final, from
     the wave speed that is also its first step's alpha.  MS3 keeps the
     (coefficients, residual) pairs of its last four steps and takes RK3
-    steps until it has four.  A step takes the wave speed of its field
-    from the limiter report that returned the field (the initial limit's,
-    or the last of the step before), which computes it when read, so an
-    RK3 step's first two stage reports never compute theirs;
-    ``global_max_signal_speed`` evaluates it only where that report has
-    none: after a limit that changed a cell, or after a none-kind limit,
-    which each step calls where it would call any other kind.
+    steps until it has four; no step writes into them.  Every operator call
+    works in one set of scratch arrays that the run allocates
+    (``operator_scratch``), so two runs, in two threads too, share none.
+    A step takes the wave speed of its field from the limiter report that
+    returned the field (the initial limit's, or the last of the step
+    before), which computes it when read, so an RK3 step's first two stage
+    reports never compute theirs; each limit call drops the node values of
+    the report before it, whose speed is read by then or never will be.
+    ``global_max_signal_speed`` evaluates the speed only where that report
+    has none: after a none-kind limit, which each step calls where it would
+    call any other kind.
     ``_diagnostics`` records each step, the initial limit as step 0, into a
     block of at most 64 KiB of cell averages, which it turns into
     StepDiagnostics whenever it fills; ``evolve`` turns the part left after
@@ -248,13 +280,21 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     per_stage = opts.placement == PER_STAGE
     multistep = opts.integrator == MS3
 
+    last = None  # the report of the last limit call
+
     def limit(f: DGField):
-        return limit_field(f, region, opts.limiter_kind)
+        # the last report's speed is read by now or never will be
+        nonlocal last
+        if last is not None:
+            last.drop_nodes()
+        limited, last = limit_field(f, region, opts.limiter_kind)
+        return limited, last
 
     step, t, n_steps = 0, 0.0, 0
     t_tol = _END_TOL * max(1.0, opts.t_final)
     history = deque(maxlen=4)
     block = _RecordBlock(fld.n_cells, mesh.h, gamma)
+    scratch = operator_scratch(fld.degree, fld.n_cells)
     try:
         fld, rep0 = limit(fld)
         theta_last = rep0.theta
@@ -286,7 +326,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                     f" (speed {alpha:.6g})")
 
             def rhs(f: DGField) -> np.ndarray:
-                return spatial_operator(f, mesh, gamma, alpha)
+                return spatial_operator(f, mesh, gamma, alpha, scratch)
 
             residual = None
             if multistep:
@@ -312,10 +352,6 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             theta_last = reports[-1].theta
             speed = reports[-1].max_speed
             _diagnostics(step, t, dt, fld, block, reports)
-            # a quiet report keeps its node values until its speed is read,
-            # which happens only for a step's last report: the others go
-            # with the step, not one step later (0.5 MB at P2, N=2560)
-            del reports
     except RegionViolationError as err:
         err.step = step
         raise

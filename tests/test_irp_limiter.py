@@ -316,7 +316,7 @@ class TestLimitField:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("kind", (LIMITER_NONE, LIMITER_POSITIVITY,
                                       LIMITER_IRP))
-    def test_max_speed_only_when_no_cell_is_in_play(self, kind):
+    def test_max_speed_unless_the_kind_is_none(self, kind):
         rng = np.random.default_rng(43)
         quiet = random_cells(rng, 12, 2, overshoot=0.01)
         dip = quiet.copy()  # in play for every kind: a density node below 0
@@ -333,13 +333,15 @@ class TestLimitField:
             in_play = (rho_min < REGION.eps) | (p_min < REGION.eps)
             if kind == LIMITER_IRP:
                 in_play |= q_max > Q_SLACK
-            quiet_call = kind != LIMITER_NONE and not in_play.any()
+            quiet_call = kind == LIMITER_NONE or not in_play.any()
             assert rep.quiet == quiet_call
             # a call that changes no cell returns its input field itself
-            assert (out is fld) == (kind == LIMITER_NONE or quiet_call)
-            assert (rep.max_speed is None) != quiet_call
-            if quiet_call:
+            assert (out is fld) == quiet_call
+            # a limited call's speed is that of the field it returned
+            assert (rep.max_speed is None) == (kind == LIMITER_NONE)
+            if kind != LIMITER_NONE:
                 assert rep.max_speed == global_max_signal_speed(out, GAMMA)
+            if quiet_call and kind != LIMITER_NONE:
                 rho, m, E = node_states(fld, REGION)
                 p = (GAMMA - 1.0) * (E - 0.5 * m * m / rho)
                 assert rep.max_speed == pytest.approx(

@@ -2,8 +2,10 @@
 kernel, one wave-speed formula, one step-record site, bounded caches and
 buffers, a public namespace of what the README imports, layer functions
 looked up through module globals, and mode-major coefficients along the
-step path, where no field is written in place."""
+step path, where no field is written in place nor any array a step does
+not own."""
 
+import hashlib
 import importlib
 import inspect
 import pkgutil
@@ -107,8 +109,8 @@ def test_the_record_block_holds_at_most_64_kib(n_cells):
 @pytest.mark.parametrize("dip", (False, True), ids=("quiet", "limited"))
 def test_the_limiter_report_holds_no_per_cell_array_but_theta(kind, dip):
     # the step reads theta, three counts, the fallback count and the speed;
-    # a quiet report keeps its node values, in a tuple, only until its
-    # speed is read
+    # a positivity or irp report keeps its node values, in a tuple, only
+    # until its speed is read
     coeffs = np.zeros((8, 3, 3))
     coeffs[:, 0, 0], coeffs[:, 2, 0] = 1.0, 2.5
     if dip:
@@ -143,6 +145,8 @@ def test_the_public_namespace_is_what_the_readme_imports():
 # Where each layer function is looked up: the benchmark's set-up probe stops
 # ``run`` at ``harness.evolve``, and its per-layer spans wrap every name
 # here in the module given, so the calls must go through these globals.
+# A positivity or irp limit reports its field's wave speed, so only a
+# none-kind run evaluates ``global_max_signal_speed``.
 PATCH_POINTS = {
     irpdg.harness: ("build_region", "l2_project", "evolve"),
     irpdg.time_integration: ("spatial_operator", "global_max_signal_speed",
@@ -152,8 +156,9 @@ PATCH_POINTS = {
 
 @pytest.mark.parametrize("config", [
     RunConfig(problem="lax", n_cells=20, t_final=0.02),
-    RunConfig(problem="shu_osher", n_cells=32, t_final=0.02)],
-    ids=("lax", "shu_osher"))
+    RunConfig(problem="shu_osher", n_cells=32, t_final=0.02),
+    RunConfig(problem="lax", n_cells=20, t_final=0.02, limiter="none")],
+    ids=("lax", "shu_osher", "lax_none"))
 def test_run_reaches_every_layer_through_its_module_global(monkeypatch,
                                                            config):
     calls = Counter()
@@ -169,8 +174,10 @@ def test_run_reaches_every_layer_through_its_module_global(monkeypatch,
             monkeypatch.setattr(module, name,
                                 counting(name, getattr(module, name)))
     irpdg.harness.run(config)
-    assert set(calls) == {name for names in PATCH_POINTS.values()
-                          for name in names}, calls
+    expected = {name for names in PATCH_POINTS.values() for name in names}
+    if config.limiter != "none":
+        expected.remove("global_max_signal_speed")
+    assert set(calls) == expected, calls
 
 
 STEP_PATH_CONFIGS = pytest.mark.parametrize("config", [
@@ -240,3 +247,52 @@ def test_the_node_kernel_receives_c_contiguous_mode_major_blocks(
         monkeypatch.setattr(module, "_values_at", checked)
     irpdg.harness.run(config)
     assert seen and set(seen) == {((config.degree + 1, 3), True)}, set(seen)
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(problem="lax", n_cells=20, t_final=0.02),
+    RunConfig(problem="shu_osher", n_cells=64, t_final=0.02),
+    RunConfig(problem="smooth_advection", degree=3, n_cells=16,
+              integrator="ms3", limiter_placement="per_step", t_final=0.02)],
+    ids=("lax", "shu_osher", "advection_ms3"))
+def test_a_step_writes_into_no_array_it_does_not_own(monkeypatch, config):
+    # a step computes its stages in place in the residuals its operator
+    # calls return; its input coefficients, every MS3 history entry (an RK3
+    # step's rhs0 among them) and the node values a report holds for its
+    # speed, quiet or not, must keep every byte, then and for the rest of
+    # the run
+    ti = irpdg.time_integration
+    held = []  # (array, digest of its bytes when first seen)
+
+    def hold(*arrays):
+        held.extend((a, hashlib.sha256(a.tobytes()).digest()) for a in arrays)
+
+    def changed():
+        return [i for i, (a, digest) in enumerate(held)
+                if hashlib.sha256(a.tobytes()).digest() != digest]
+
+    def rk3(fld, dt, rhs, limit, per_stage=True, rhs0=None):
+        hold(fld.coeffs, *(() if rhs0 is None else (rhs0,)))
+        out = rk3_step(fld, dt, rhs, limit, per_stage, rhs0)
+        assert not changed()
+        return out
+
+    def ms3(*args):
+        hold(*args[:4])
+        out = ms3_step(*args)
+        assert not changed()
+        return out
+
+    def limit(fld, region, kind):
+        out, rep = limit_field(fld, region, kind)
+        if rep._nodes is not None:  # (rho, m, p, gamma) for its speed
+            hold(*rep._nodes[:3])
+        return out, rep
+
+    rk3_step, ms3_step, limit_field = \
+        ti.ssp_rk3_step, ti.ssp_ms3_step, ti.limit_field
+    monkeypatch.setattr(ti, "ssp_rk3_step", rk3)
+    monkeypatch.setattr(ti, "ssp_ms3_step", ms3)
+    monkeypatch.setattr(ti, "limit_field", limit)
+    irpdg.harness.run(config)
+    assert held and not changed()

@@ -75,19 +75,26 @@ class TestDtForSpeed:
             _dt_for_speed(wave_speed(fld), 0.25, 1.0, 1.0 / 6.0)
 
 
+def identity_limit(fld):
+    """A limit that changes nothing and reports nothing."""
+    return fld, None
+
+
 class TestSspRk3:
     def test_zero_rhs_identity(self):
         fld = constant_field(4, 2, 1.0, 0.3, 2.0)
-        out, reports = ssp_rk3_step(fld, 0.1, lambda f: np.zeros_like(f.coeffs))
+        out, reports = ssp_rk3_step(fld, 0.1, lambda f: np.zeros_like(f.coeffs),
+                                    identity_limit)
         np.testing.assert_array_equal(out.coeffs, fld.coeffs)
-        assert reports == []
+        assert reports == [None] * 3
 
     def test_linear_amplification_third_order_taylor(self):
         # one step on w' = lam*w multiplies by 1 + z + z^2/2 + z^3/6
         lam, dt = -0.7, 0.31
         z = lam * dt
         fld = scalar_field(2.0)
-        out, _ = ssp_rk3_step(fld, dt, lambda f: lam * f.coeffs)
+        out, _ = ssp_rk3_step(fld, dt, lambda f: lam * f.coeffs,
+                              identity_limit)
         expected = (1 + z + z**2 / 2 + z**3 / 6) * 2.0
         assert out.coeffs[0, 0, 0] == pytest.approx(expected, rel=1e-14)
 
