@@ -302,20 +302,8 @@ def _node_values(modes: np.ndarray, even: np.ndarray, odd: np.ndarray,
     return out
 
 
-def operator_scratch(degree: int, n_cells: int) -> tuple:
-    """Work arrays for ``spatial_operator`` calls on ``n_cells`` cells of
-    ``degree``: the (6, q+2, n) node block, the (2, 6, n+1) interface
-    states, the Lax-Friedrichs flux and its dissipation term (2, 3, n+1),
-    and one (k, 3, n) lifting product.  Every call overwrites all of it
-    before reading it, so one set serves any number of calls, one at a time.
-    """
-    k, n = degree + 1, n_cells  # k modes, and as many volume nodes
-    return (np.empty((6, k + 2, n)), np.empty((2, 6, n + 1)),
-            np.empty((2, 3, n + 1)), np.empty((k, 3, n)))
-
-
 def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
-                     alpha: float, scratch: tuple | None = None) -> np.ndarray:
+                     alpha: float) -> np.ndarray:
     """Semi-discrete DG right-hand side; shape and mode-major layout of
     ``fld.coeffs`` (a transposed view of one (k, 3, n_cells) block).
 
@@ -323,10 +311,8 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
     global Lax-Friedrichs with the supplied alpha.  An inflow_outflow mesh
     supplies the prescribed upstream state (``mesh.inflow``).
 
-    ``scratch`` holds the work arrays (``operator_scratch`` of the field's
-    degree and cell count); a call without one allocates its own.  The
-    residual is a fresh array on every call, and it belongs to the caller,
-    who may write into it; nothing of it lives in the scratch.
+    The residual is a fresh array on every call, and it belongs to the
+    caller, who may write into it.
 
     Summation order is fixed, so results are reproducible bit for bit.  It
     is the order of the einsums the operator was first written with over
@@ -340,14 +326,13 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
         raise ValueError("field and mesh cell counts differ")
     vol, even, odd, Dq, phi_left, phi_right = _operator_tables(fld.degree)
     nq = vol.nodes.size
-    if scratch is None:
-        scratch = operator_scratch(fld.degree, fld.n_cells)
-    # nodes: rows 0-2 hold (rho, m, E) at the volume nodes and then at the
-    # left and the right edge of every cell, (node, cell) in each row; rows
-    # 3-5 the physical flux of those states, which also hold the odd modes'
-    # sum until then.  left, right: state and flux on the left and the
-    # right of each interface, one contiguous (6, n+1) block each.
-    nodes, (left, right), (fluxes, jump), lift = scratch
+    n = fld.n_cells
+
+    # rows 0-2: (rho, m, E) at the volume nodes and then at the left and the
+    # right edge of every cell, (node, cell) in each row; rows 3-5: the
+    # physical flux of those states, which also hold the odd modes' sum
+    # until then
+    nodes = np.empty((6, nq + 2, n))
     rho = _node_values(fld.coeffs.T, even, odd, nodes[:3], nodes[3:])[0]
     zero = not rho.all()  # some node density is exactly 0
     if zero and np.any(rho[:nq] == 0.0):
@@ -358,7 +343,11 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
         raise ZeroDivisionError("zero density at a cell interface trace")
     _euler_flux(*nodes[:3], gamma, out=nodes[3:])
 
+    # state and flux on the left and the right of each interface, one
+    # contiguous (6, n+1) block each
     left_edge, right_edge = nodes[:, nq], nodes[:, nq + 1]
+    w = np.empty((2, 6, n + 1))
+    left, right = w
     left[:, 1:] = right_edge
     right[:, :-1] = left_edge
     if mesh.boundary == PERIODIC:
@@ -373,17 +362,19 @@ def spatial_operator(fld: DGField, mesh: Mesh1D, gamma: float,
         right[:, -1] = right_edge[:, -1]
     # Lax-Friedrichs: central flux 0.5 * (f_L + f_R) minus the dissipation
     # 0.5 * alpha * (w_R - w_L), (3, n_cells+1) each
-    np.add(left[3:], right[3:], out=fluxes)
+    fluxes = np.add(left[3:], right[3:])
     fluxes *= 0.5
-    np.subtract(right[:3], left[:3], out=jump)
+    jump = np.subtract(right[:3], left[:3])
     jump *= 0.5 * alpha
     fluxes -= jump
+    del w, left, right, jump  # a smaller peak: freed before the volume term
 
     F = nodes[3:, :nq]
     F *= vol.weights[:, None]
     resid = np.einsum("vqc,qj->jvc", F, Dq,
-                      out=np.empty((fld.degree + 1, 3, fld.n_cells)))
-    resid -= np.multiply(fluxes[:, 1:], phi_right, out=lift)
+                      out=np.empty((fld.degree + 1, 3, n)))
+    lift = np.multiply(fluxes[:, 1:], phi_right)
+    resid -= lift
     resid += np.multiply(fluxes[:, :-1], phi_left, out=lift)
     resid /= mesh.h
     return resid.T  # mode-major, as fld.coeffs

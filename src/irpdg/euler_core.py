@@ -67,24 +67,15 @@ def gas_pressure(rho, m: np.ndarray, E, gamma: float) -> np.ndarray:
 
 
 def gas_entropy(rho, p, gamma: float):
-    """Specific entropy s = log(p / rho^gamma), unchecked: needs rho, p > 0.
-
-    Computed as log(p) - gamma * log(rho), in two new arrays.
-    """
-    s = np.log(p)
-    t = np.log(rho)
-    t *= gamma
-    s -= t
-    return s
+    """Specific entropy s = log(p / rho^gamma), unchecked: needs rho, p > 0."""
+    return np.log(p) - gamma * np.log(rho)
 
 
 def gas_state(rho, m, E, region: InvariantRegion):
     """Unchecked (p, s, q), q = (s0 - s) * rho; s and q need rho, p > 0."""
     p = gas_pressure(rho, m, E, region.gamma)
     s = gas_entropy(rho, p, region.gamma)
-    q = np.subtract(region.s0, s)
-    q *= rho
-    return p, s, q
+    return p, s, (region.s0 - s) * rho
 
 
 def to_primitive(w: ConservedState, gamma: float) -> PrimitiveState:

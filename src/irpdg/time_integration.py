@@ -13,10 +13,9 @@ record (``StepDiagnostics``): its limiter counts are taken as the step
 ends, its conserved totals and minimum average entropy a block of steps at
 a time, vectorized over the block, with the same bits as one step at a
 time.  A stage is computed in place in the residual the step's operator
-call just returned, which is the caller's to overwrite; the operator's work
-arrays belong to the run (``evolve``).  The stage arithmetic on mode-major
-coefficients (``DGField``) and residuals gives mode-major arrays, so no
-step copies a field into another layout.
+call just returned, which is the caller's to overwrite.  The stage
+arithmetic on mode-major coefficients (``DGField``) and residuals gives
+mode-major arrays, so no step copies a field into another layout.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dg_space import DGField, Mesh1D, default_rule, \
-    global_max_signal_speed, operator_scratch, spatial_operator
+    global_max_signal_speed, spatial_operator
 from .euler_core import InvariantRegion, gas_entropy, gas_pressure
 from .irp_limiter import LIMITER_IRP, RegionViolationError, limit_field
 
@@ -157,17 +156,9 @@ def ssp_ms3_step(w_now: np.ndarray, r_now: np.ndarray, w_old: np.ndarray,
 
     Combines the current solution and the one three steps back, each with
     its residual; all four steps must have been taken at the same dt.
-    Reads its arguments only, and computes (16/27) (w_now + 3 dt r_now) +
-    (11/27) (w_old + (12/11) dt r_old) in two new arrays, bit for bit.
     """
-    out = (3.0 * dt) * r_now
-    out += w_now
-    out *= 16.0 / 27.0
-    old = ((12.0 / 11.0) * dt) * r_old
-    old += w_old
-    old *= 11.0 / 27.0
-    out += old
-    return out
+    return (16.0 / 27.0) * (w_now + 3.0 * dt * r_now) \
+        + (11.0 / 27.0) * (w_old + (12.0 / 11.0) * dt * r_old)
 
 
 def _record_block_rows(n_cells: int) -> int:
@@ -249,14 +240,12 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     the step's flux alpha.  MS3 freezes one dt that lands on t_final, from
     the wave speed that is also its first step's alpha.  MS3 keeps the
     (coefficients, residual) pairs of its last four steps and takes RK3
-    steps until it has four; no step writes into them.  Every operator call
-    works in one set of scratch arrays that the run allocates
-    (``operator_scratch``), so two runs, in two threads too, share none.
-    A step takes the wave speed of its field from the limiter report that
-    returned the field (the initial limit's, or the last of the step
-    before), which computes it when read, so an RK3 step's first two stage
-    reports never compute theirs; each limit call drops the node values of
-    the report before it, whose speed is read by then or never will be.
+    steps until it has four; no step writes into them.  A step takes the
+    wave speed of its field from the limiter report that returned the
+    field (the initial limit's, or the last of the step before), which
+    computes it when read, so an RK3 step's first two stage reports never
+    compute theirs; each limit call drops the node values of the report
+    before it, whose speed is read by then or never will be.
     ``global_max_signal_speed`` evaluates the speed only where that report
     has none: after a none-kind limit, which each step calls where it would
     call any other kind.
@@ -294,7 +283,6 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     t_tol = _END_TOL * max(1.0, opts.t_final)
     history = deque(maxlen=4)
     block = _RecordBlock(fld.n_cells, mesh.h, gamma)
-    scratch = operator_scratch(fld.degree, fld.n_cells)
     try:
         fld, rep0 = limit(fld)
         theta_last = rep0.theta
@@ -326,7 +314,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                     f" (speed {alpha:.6g})")
 
             def rhs(f: DGField) -> np.ndarray:
-                return spatial_operator(f, mesh, gamma, alpha, scratch)
+                return spatial_operator(f, mesh, gamma, alpha)
 
             residual = None
             if multistep:

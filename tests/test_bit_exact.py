@@ -10,8 +10,6 @@ for bit (``np.array_equal`` on arrays, ``==`` on floats).
 import hashlib
 import importlib
 import pkgutil
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ import irpdg.time_integration as ti
 from irpdg.dg_space import INFLOW_OUTFLOW, OUTFLOW, PERIODIC, DGField, \
     Mesh1D, basis_derivatives, basis_values, default_rule, \
     evaluate_at_nodes, gauss_legendre_rule, gauss_lobatto_rule, global_max_signal_speed, \
-    operator_scratch, spatial_operator
+    spatial_operator
 from irpdg.dg_space import _node_values, _operator_tables, _test_table, \
     _values_at
 from irpdg.euler_core import ConservedState, InvariantRegion, \
@@ -667,28 +665,6 @@ def test_spatial_operator_bit_exact_at_edge_sizes(degree, boundary, n_cells):
     assert same_bits(got, oracle_spatial_operator(fld, mesh, GAMMA, 4.7))
 
 
-@pytest.mark.parametrize("degree", DEGREES)
-@pytest.mark.parametrize("boundary", (PERIODIC, OUTFLOW, INFLOW_OUTFLOW))
-def test_the_operator_in_reused_scratch_gives_a_fresh_calls_bits(degree,
-                                                                 boundary):
-    # a run's operator calls share one scratch; each call must overwrite
-    # all of it before reading it, and keep its residual out of it
-    rng = np.random.default_rng(20 * degree + len(boundary))
-    first, second = (random_field(rng, 48, degree, 0.2) for _ in range(2))
-    ghost = to_conserved(PrimitiveState(3.857143, 2.629369, 10.3333), GAMMA) \
-        if boundary == INFLOW_OUTFLOW else None
-    mesh = Mesh1D(-1.0, 2.0, 48, boundary, ghost)
-    scratch = operator_scratch(degree, 48)
-    kept = spatial_operator(first, mesh, GAMMA, 4.7, scratch)
-    expected = kept.copy()
-    got = spatial_operator(second, mesh, GAMMA, 3.1, scratch)
-    assert got.T.flags.c_contiguous
-    assert same_bits(got, spatial_operator(second, mesh, GAMMA, 3.1))
-    assert same_bits(kept, expected)  # the residual is the caller's
-    assert same_bits(spatial_operator(first, mesh, GAMMA, 4.7, scratch),
-                     expected)
-
-
 @pytest.mark.parametrize("n_cells", (1, 2, 64, 2560))
 @pytest.mark.parametrize("degree", DEGREES)
 def test_a_limited_call_reports_the_wave_speed_of_its_field(degree, n_cells):
@@ -861,38 +837,6 @@ def test_final_fields_keep_their_bits(name):
     assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
 
-def test_two_runs_in_two_threads_give_the_serial_bits():
-    # each run owns its operator scratch; with the interpreter switching
-    # threads every few microseconds, a buffer shared by two runs of one
-    # degree and cell count would mix their fields
-    configs = (FINAL_FIELD_SHA256["shu_osher_rk3"][0],
-               RunConfig(problem="lax", degree=2, n_cells=64, t_final=0.05))
-
-    def digest(config):
-        coeffs = run(config).result.final.coeffs
-        return hashlib.sha256(coeffs.tobytes()).hexdigest()
-
-    serial = [digest(config) for config in configs]
-    threaded = [None] * len(configs)
-
-    def solve(i):
-        threaded[i] = digest(configs[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=solve, args=(i,))
-                   for i in range(len(configs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        sys.setswitchinterval(interval)
-    assert serial[0] == FINAL_FIELD_SHA256["shu_osher_rk3"][1]
-    assert threaded == serial
-
-
 # The pinned runs (one of them RK3 without a limiter), a positivity run and
 # an MS3 run without a limiter.  On the 64-cell Shu-Osher run every limit
 # has a cell in play, so its speeds come from the limited cells' last node
@@ -926,12 +870,12 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
         step_starts.append(True)
         return diagnostics(*args)
 
-    def checked_operator(fld, mesh, gamma, alpha, *scratch):
+    def checked_operator(fld, mesh, gamma, alpha):
         if step_starts:  # the step's first operator call is on its field
             step_starts.clear()
             alphas.append(alpha)
             assert alpha == global_max_signal_speed(fld, gamma)
-        return spatial_operator(fld, mesh, gamma, alpha, *scratch)
+        return spatial_operator(fld, mesh, gamma, alpha)
 
     diagnostics = ti._diagnostics
     monkeypatch.setattr(ti, "limit_field", checked_limit)
