@@ -157,12 +157,17 @@ def limit_field(fld: DGField, region: InvariantRegion,
     kinds make one node pass over every cell, and the cells with a node
     outside the region are in play.  When none is, the call is quiet: it
     returns its input field itself.  Otherwise the cells in play are
-    gathered once into one block, which every later step works on whole; a
-    cell with no active constraint in a round is rescaled by exactly 1.0,
-    which keeps its bits.  After each rescaling one node pass over the
-    block gives both the next round's extrema and the fallback's
-    admissibility test; the rounds end when every cell passes it, since an
-    admissible cell violates no constraint.  The block is written into a
+    gathered once into one block, and one loop works on it whole, a node
+    pass at a time: pass 0 is the first pass's columns, every later pass
+    one node evaluation of the block after its last rescaling.  The loop
+    ends at the pass every cell passes.  Before that, a pass gives a
+    formula round its extrema (at most three rounds, none after a halving),
+    or, where the rounds are spent or no constraint is active, halves the
+    cells that acted and still fail (at most ``_MAX_FALLBACK`` times; then
+    it raises RegionViolationError naming the first of them).
+    Every cell in play has an active constraint in round 0, so its average
+    is checked there.  A cell that a rescaling leaves alone is multiplied
+    by exactly 1.0, which keeps its bits.  The block is written into a
     copy of the coefficients, the new field.  Either way the report
     computes the new field's wave speed, if and when ``max_speed`` is read,
     from the first pass's node values, where the block's last node pass
@@ -187,20 +192,6 @@ def limit_field(fld: DGField, region: InvariantRegion,
     if not live.size:
         return fld, FieldLimiterReport(theta, nodes=speed_nodes, quiet=True)
 
-    # Round 0's extrema over the nodes where each quantity is meaningful:
-    # p over the nodes with rho > 0, a non-finite p counted as -inf, and q
-    # where it is finite over the nodes with rho > 0 and p > 0.  A cell
-    # whose q overflowed to +inf is in play with no constraint active in
-    # round 0; round 1 keeps that q and flags the cell.
-    rho_n, p_n, q_n = rho_f[:, live], p_f[:, live], q_f[:, live]
-    m_n = None  # until a node pass over the block
-    p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
-    rho_pos = rho_n > 0.0
-    ext = (np.minimum.reduce(rho_n, axis=0),
-           np.minimum.reduce(np.where(rho_pos, p_n, np.inf), axis=0),
-           np.maximum.reduce(np.where(rho_pos & (p_n > 0.0) & np.isfinite(q_n),
-                                      q_n, -np.inf), axis=0))
-
     block = np.take(modes, live, axis=2)  # the cells in play, (k, 3, L)
     block_theta = theta[live]
     rho_avg, m_avg, E_avg = block[0]
@@ -212,82 +203,80 @@ def limit_field(fld: DGField, region: InvariantRegion,
     inside = (rho_avg > eps) & (p_avg > eps) & (p_avg < np.inf)
     if use_q:
         inside &= q_avg <= Q_SLACK
-    acted = np.zeros((3, live.size), dtype=bool)  # per constraint, as rows
+    # pass 0: the first pass's columns, which no cell passes
+    rho_n, m_n, p_n, q_n = (a[:, live] for a in (rho_f, m_f, p_f, q_f))
     admissible = np.zeros(live.size, dtype=bool)  # as of the last pass
-    for round_idx in range(4):
-        if round_idx:
-            # An admissible cell violates no constraint; otherwise take the
-            # extrema over the nodes where each quantity is meaningful (see
-            # the docstring).
-            rho_n, m_n, p_n, q_n = _node_states(block, region, V)
-            admissible = _admissible(rho_n, p_n, q_n, eps, use_q)
-            if round_idx == 3 or admissible.all():
-                break
+    acted = np.zeros((3, live.size), dtype=bool)  # per constraint, as rows
+    rounds = halvings = fallbacks = 0
+    while not admissible.all():
+        formula = rounds < 3 and not halvings
+        if formula:
+            # The extrema over the nodes where each quantity is meaningful:
+            # p over the nodes with rho > 0 (pass 0 counts a non-finite p
+            # as -inf), q over the nodes with rho > 0 and p > 0.
+            p_x = p_n if rounds else np.where(np.isfinite(p_n), p_n, -np.inf)
             rho_pos = rho_n > 0.0
             ext = (np.minimum.reduce(rho_n, axis=0),
-                   np.minimum.reduce(np.where(rho_pos, p_n, np.inf), axis=0),
+                   np.minimum.reduce(np.where(rho_pos, p_x, np.inf), axis=0),
                    np.maximum.reduce(
-                       np.where(rho_pos & (p_n > 0.0), q_n, -np.inf), axis=0))
-        # rows: the rho, p and q constraints
-        a = np.array([~(ext[0] >= eps), ext[1] < eps,
-                      (ext[2] > Q_SLACK) & use_q])
-        active = np.logical_or.reduce(a, axis=0)
-        if not active.any():
-            break
-        # Averages never change, so a cell that passed once passes again;
-        # the first active cell whose average fails raises.
-        bad = active & ~inside
-        if bad.any():
-            i = int(np.argmax(bad))  # the first such cell
-            c = int(live[i])
-            if not rho_avg[i] > eps:
-                what = f"density {rho_avg[i]} not above eps"
-            elif not p_avg[i] > eps:
-                what = f"pressure {p_avg[i]} not above eps"
-            elif not p_avg[i] < np.inf:
-                what = f"pressure {p_avg[i]} not finite"
-            else:
-                what = f"entropy functional q={q_avg[i]} not negative"
-            raise RegionViolationError(f"average {what} (cell {c})", cell=c)
-        # The three ratios at once; a row whose constraint is inactive may
-        # hold anything and is masked out.
-        with np.errstate(invalid="ignore", over="ignore"):
-            t = _ratio(np.array([rho_avg - eps, p_avg - eps, -q_avg]),
-                       np.array([rho_avg - ext[0], p_avg - ext[1],
-                                 ext[2] - q_avg]))
-            t[2] = np.where(q_avg < 0.0, t[2], 0.0)  # theta3 = 0 where q >= 0
-            step = np.minimum(
-                1.0, np.minimum.reduce(np.where(a, t, np.inf), axis=0))
-        # inf * 0 is nan: a cell flattened to its mean drops the non-finite
-        # modes (+0); the finite ones keep their signed zeros
-        np.copyto(block[1:], 0.0,
-                  where=(step == 0.0) & ~np.isfinite(block[1:]))
+                       np.where(rho_pos & (p_x > 0.0), q_n, -np.inf), axis=0))
+            # rows: the rho, p and q constraints
+            a = np.array([~(ext[0] >= eps), ext[1] < eps,
+                          (ext[2] > Q_SLACK) & use_q])
+            formula = a.any()
+        if formula:
+            # Averages never change, so a cell that passed once passes
+            # again; the first active cell whose average fails raises.
+            bad = np.logical_or.reduce(a, axis=0) & ~inside
+            if bad.any():
+                i = int(np.argmax(bad))  # the first such cell
+                c = int(live[i])
+                if not rho_avg[i] > eps:
+                    what = f"density {rho_avg[i]} not above eps"
+                elif not p_avg[i] > eps:
+                    what = f"pressure {p_avg[i]} not above eps"
+                elif not p_avg[i] < np.inf:
+                    what = f"pressure {p_avg[i]} not finite"
+                else:
+                    what = f"entropy functional q={q_avg[i]} not negative"
+                raise RegionViolationError(f"average {what} (cell {c})",
+                                           cell=c)
+            # The three ratios at once; a row whose constraint is inactive
+            # may hold anything and is masked out.  A cell with no active
+            # constraint is rescaled by exactly 1.0, which keeps its bits.
+            with np.errstate(invalid="ignore", over="ignore"):
+                t = _ratio(np.array([rho_avg - eps, p_avg - eps, -q_avg]),
+                           np.array([rho_avg - ext[0], p_avg - ext[1],
+                                     ext[2] - q_avg]))
+                t[2] = np.where(q_avg < 0.0, t[2], 0.0)  # theta3 = 0, q >= 0
+                step = np.minimum(
+                    1.0, np.minimum.reduce(np.where(a, t, np.inf), axis=0))
+            # inf * 0 is nan: a cell flattened to its mean drops the
+            # non-finite modes (+0); the finite ones keep their signed zeros
+            np.copyto(block[1:], 0.0,
+                      where=(step == 0.0) & ~np.isfinite(block[1:]))
+            acted |= a
+            rounds += 1
+        else:
+            # Safety net: round-off can leave a node a few ulp outside after
+            # the exact-arithmetic-tight rescalings; halve theta until the
+            # test set is clean (rarely more than once, counted in
+            # diagnostics).
+            pending = acted.any(axis=0) & ~admissible
+            if halvings == _MAX_FALLBACK:
+                raise RegionViolationError(
+                    "limiter fallback exhausted without reaching the "
+                    "admissible set", cell=int(live[np.argmax(pending)]))
+            step = np.where(pending, 0.5, 1.0)  # 1.0 keeps the other cells
+            fallbacks += int(np.count_nonzero(pending))
+            halvings += 1
         block[1:] *= step
         block_theta *= step
-        acted |= a
-
-    # Safety net: round-off can leave a node a few ulp outside after the
-    # exact-arithmetic-tight rescalings; halve theta until the test set is
-    # clean (rarely more than once, counted in diagnostics).
-    pending = acted.any(axis=0) & ~admissible
-    rounds = fallbacks = 0
-    while pending.any():
-        if rounds == _MAX_FALLBACK:
-            raise RegionViolationError(
-                "limiter fallback exhausted without reaching the admissible set",
-                cell=int(live[np.argmax(pending)]))
-        half = np.where(pending, 0.5, 1.0)  # 1.0 keeps the other cells
-        block[1:] *= half
-        block_theta *= half
-        fallbacks += int(np.count_nonzero(pending))
-        rounds += 1
         rho_n, m_n, p_n, q_n = _node_states(block, region, V)
-        pending &= ~_admissible(rho_n, p_n, q_n, eps, use_q)
-    if m_n is not None:
-        # The block's last node pass came after its last rescaling.  Each
-        # cell passed it or had no active constraint: either way its nodes
-        # have rho >= eps and a finite p >= eps.
-        rho_f[:, live], m_f[:, live], p_f[:, live] = rho_n, m_n, p_n
+        admissible = _admissible(rho_n, p_n, q_n, eps, use_q)
+    # The block's last node pass came after its last rescaling, and every
+    # cell passed it: its nodes have rho >= eps and a finite p >= eps.
+    rho_f[:, live], m_f[:, live], p_f[:, live] = rho_n, m_n, p_n
     out = modes.copy()
     out[:, :, live] = block
     theta[live] = block_theta

@@ -13,7 +13,9 @@ record (``StepDiagnostics``): its limiter counts are taken as the step
 ends, its conserved totals and minimum average entropy a block of steps at
 a time, vectorized over the block, with the same bits as one step at a
 time.  A stage is computed in place in the residual the step's operator
-call just returned, which is the caller's to overwrite.  The stage
+call just returned, which is the caller's to overwrite: the three RK3
+steps that start an MS3 run each compute their first residual afresh,
+beside the one the run keeps in its history.  The stage
 arithmetic on mode-major coefficients (``DGField``) and residuals gives
 mode-major arrays, so no step copies a field into another layout.
 """
@@ -104,7 +106,7 @@ def _check_reaches_t_final(dt: float, t_tol: float, step: int) -> None:
 
 
 def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
-                 per_stage: bool = True, rhs0: np.ndarray | None = None):
+                 per_stage: bool = True):
     """One SSP RK3 step; returns (new field, stage limiter reports).
 
     ``rhs`` maps a field to its residual coefficients, a fresh array that
@@ -112,9 +114,7 @@ def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
     it was built from (IEEE + and * commute, so with the bits of the
     textbook formulas).  ``limit`` maps a field to (limited field, report);
     the final stage is always limited, intermediate stages only when
-    ``per_stage``.  ``rhs0`` optionally reuses a precomputed rhs(fld),
-    which stays the caller's: the step only reads it, as it reads
-    ``fld``.
+    ``per_stage``.  The step only reads ``fld``.
     """
     reports = []
 
@@ -124,12 +124,9 @@ def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
         return limited
 
     w = fld.coeffs
-    if rhs0 is None:
-        s = rhs(fld)
-        s *= dt
-    else:
-        s = dt * rhs0
-    s += w  # w + dt * r0
+    s = rhs(fld)  # w + dt * rhs(w)
+    s *= dt
+    s += w
     s1 = DGField(fld.degree, s)
     if per_stage:
         s1 = _limit(s1)
@@ -240,7 +237,8 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     the step's flux alpha.  MS3 freezes one dt that lands on t_final, from
     the wave speed that is also its first step's alpha.  MS3 keeps the
     (coefficients, residual) pairs of its last four steps and takes RK3
-    steps until it has four; no step writes into them.  A step takes the
+    steps until it has four; no step writes into them, as an RK3 step
+    computes its own first residual.  A step takes the
     wave speed of its field from the limiter report that returned the
     field (the initial limit's, or the last of the step before), which
     computes it when read, so an RK3 step's first two stage reports never
@@ -316,10 +314,8 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             def rhs(f: DGField) -> np.ndarray:
                 return spatial_operator(f, mesh, gamma, alpha)
 
-            residual = None
             if multistep:
-                residual = rhs(fld)
-                history.append((fld.coeffs, residual))
+                history.append((fld.coeffs, rhs(fld)))
             if len(history) == 4:
                 fld = DGField(fld.degree,
                               ssp_ms3_step(*history[-1], *history[0], dt))
@@ -328,7 +324,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
             else:
                 try:
                     fld, reports = ssp_rk3_step(fld, dt, rhs, limit,
-                                                per_stage, rhs0=residual)
+                                                per_stage)
                 except RegionViolationError as err:
                     if not per_stage:
                         err.note = ("RK3 with per_step placement is outside "

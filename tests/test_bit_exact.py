@@ -123,9 +123,8 @@ def oracle_limit_field(fld, region, kind):
     """The limiter's rounds and fallback, written with row reductions."""
     n = fld.n_cells
     V = basis_values(fld.degree, default_rule(fld.degree).nodes)
-    rho_n, p_n = _oracle_nodes(fld.coeffs, region, V)
-    p_n = np.where(np.isfinite(p_n), p_n, -np.inf)
-    q_n = _oracle_q(rho_n, p_n, region, np.inf)
+    rho, p = _oracle_nodes(fld.coeffs, region, V)
+    p = np.where(np.isfinite(p), p, -np.inf)  # in round 0 only
     rep = {"theta": np.ones(n), "theta1": np.full(n, np.inf),
            "theta2": np.full(n, np.inf), "theta3": np.full(n, np.inf),
            "activated": np.zeros(n, dtype=bool), "fallback_count": 0}
@@ -145,15 +144,11 @@ def oracle_limit_field(fld, region, kind):
         return np.where(np.isfinite(den), t, 0.0)
 
     for round_idx in range(3):
-        if round_idx == 0:
-            rho_min = rho_n.min(axis=1)
-            p_min = np.where(rho_n > 0.0, p_n, np.inf).min(axis=1)
-            q_max = np.where(np.isfinite(q_n), q_n, -np.inf).max(axis=1)
-        else:
+        if round_idx:
             rho, p = _oracle_nodes(coeffs, region, V)
-            rho_min = rho.min(axis=1)
-            p_min = np.where(rho > 0.0, p, np.inf).min(axis=1)
-            q_max = _oracle_q(rho, p, region, -np.inf).max(axis=1)
+        rho_min = rho.min(axis=1)
+        p_min = np.where(rho > 0.0, p, np.inf).min(axis=1)
+        q_max = _oracle_q(rho, p, region, -np.inf).max(axis=1)
         a1 = ~(rho_min >= region.eps)  # a nan density violates
         a2 = p_min < region.eps
         a3 = (q_max > Q_SLACK) if use_q else np.zeros(n, dtype=bool)
@@ -366,9 +361,9 @@ def test_limit_field_names_the_first_pending_cell_when_the_fallback_gives_up(
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
-    # at a density of 1e306, q = (s0 - s) * rho overflows to +inf; round 0
-    # skips non-finite q, round 1 does not, and the average fails there
+def test_limit_field_raises_on_an_entropy_overflow_in_round_0():
+    # at a density of 1e306, q = (s0 - s) * rho overflows to +inf at the
+    # nodes and the average, so round 0 finds the cell active and fails it
     fld = random_field(np.random.default_rng(8), 40, 2, 1.0)
     fld.coeffs[20] = 0.0
     fld.coeffs[20, 0, 0], fld.coeffs[20, 2, 0] = 1e306, 2.5
@@ -387,7 +382,7 @@ def test_limit_field_raises_on_an_entropy_overflow_in_round_1_as_before():
 FALLBACK_DENSITY = {1: [1.41, 1.894], 2: [1.891, 2.008, -1.236],
                     3: [1.873, -0.014, -1.122, -1.735]}
 CELLS_IN_PLAY = ("rho_dip", "p_dip", "q_dip", "flat", "fallback",
-                 "on_boundary")
+                 "on_boundary", "overflow")
 
 
 def limiter_fields(st):
@@ -400,7 +395,10 @@ def limiter_fields(st):
     2e-15 below it, which the denominator guard flattens, one of
     ``FALLBACK_DENSITY``, and a cell at rest whose average lies on the
     entropy boundary (q about 4e-13, within Q_SLACK) with an energy dip of
-    up to 5%, which theta3 = 0 flattens.
+    up to 5%, which theta3 = 0 flattens.  An overflow cell is constant at
+    a density of 1e306 to 2e306, where q overflows to +inf at its nodes and
+    its average: the irp kind raises naming the first one, and the
+    positivity kind leaves it quiet.
     """
     @st.composite
     def fields(draw):
@@ -419,6 +417,10 @@ def limiter_fields(st):
             if cell == "fallback":
                 coeffs[c, 0] = FALLBACK_DENSITY[degree]
                 coeffs[c, 2, 0] = 5.0
+                continue
+            if cell == "overflow":  # p = rho, m = 0
+                coeffs[c, 0, 0] = 1e306 * (1.5 + 0.5 * modes[0, 0])
+                coeffs[c, 2, 0] = 2.5 * coeffs[c, 0, 0]
                 continue
             if cell == "flat":
                 coeffs[c, 0, 0] = REGION.eps * (1.03 + 0.02 * modes[0, 0])
@@ -451,15 +453,28 @@ def test_limit_field_matches_the_oracle_on_random_fields():
     @hypothesis.given(limiter_fields(hypothesis.strategies))
     def check(drawn):
         fld, kind, types = drawn
+        if kind == LIMITER_IRP and "overflow" in types:
+            with pytest.raises(RegionViolationError) as got:
+                limit_field(fld, REGION, kind)  # warns of nothing
+            with pytest.raises(RegionViolationError) as expected, \
+                    np.errstate(over="ignore"):
+                oracle_limit_field(fld, REGION, kind)
+            assert (str(got.value), got.value.cell) == \
+                (str(expected.value), expected.value.cell)
+            assert got.value.cell == types.index("overflow")
+            return
         limit_field(fld, REGION, kind)  # warns of nothing
-        # the oracle's theta products take inf * 0 where a first ratio is 0
-        with np.errstate(invalid="ignore"):
+        # the oracle's theta products take inf * 0 where a first ratio is 0,
+        # and its q overflows in an overflow cell
+        with np.errstate(invalid="ignore", over="ignore"):
             rep = assert_limiter_matches(fld, REGION, kind)
         assert rep.fallback_count >= types.count("fallback")
         flat = [c for c, cell in enumerate(types) if cell == "flat"]
         assert (rep.theta[flat] == 0.0).all()
         edge = [c for c, cell in enumerate(types) if cell == "on_boundary"]
         assert ((rep.theta[edge] == 0.0) | ~rep.activated[edge]).all()
+        overflow = [c for c, cell in enumerate(types) if cell == "overflow"]
+        assert not rep.activated[overflow].any()
 
     check()
 

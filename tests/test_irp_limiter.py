@@ -323,10 +323,14 @@ class TestLimitField:
         dip.coeffs[5, 0, 1:] = [2.0 * dip.coeffs[5, 0, 0], 0.0]
         entropy = quiet.copy()  # in play for the irp kind only
         entropy.coeffs[3] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.5, 1.3, 0.0]]
-        overflow = quiet.copy()  # node q overflows to +inf, left unchanged
+        overflow = quiet.copy()  # q overflows to +inf at nodes and average:
         overflow.coeffs[7] = [[1e306, 0.0, 0.0], [0.0, 0.0, 0.0],
-                              [2.5e306, 0.0, 0.0]]
+                              [2.5e306, 0.0, 0.0]]  # out for the irp kind
         for fld in (quiet, dip, entropy, overflow):
+            if fld is overflow and kind == LIMITER_IRP:
+                with pytest.raises(RegionViolationError, match=r"\(cell 7\)"):
+                    limit_field(fld, REGION, kind)
+                continue
             out, rep = limit_field(fld, REGION, kind)
             rho_min, p_min, q_max = np.transpose(
                 [oracle_extrema(fld, c) for c in range(fld.n_cells)])
@@ -346,6 +350,27 @@ class TestLimitField:
                 p = (GAMMA - 1.0) * (E - 0.5 * m * m / rho)
                 assert rep.max_speed == pytest.approx(
                     np.max(np.abs(m / rho) + np.sqrt(GAMMA * p / rho)))
+
+    @pytest.mark.parametrize("dip", (False, True), ids=("alone", "dip"))
+    def test_an_average_whose_q_overflows_raises_whatever_else_is_in_play(
+            self, dip):
+        # cell 7's q overflows to +inf at its nodes and at its average: the
+        # irp kind raises naming it, with or without a density dip in cell 2
+        # in play beside it, and the positivity kind leaves it as it is
+        coeffs = np.zeros((12, 3, 3))
+        coeffs[:, 0, 0], coeffs[:, 2, 0] = 1.0, 2.5
+        coeffs[7, 0, 0], coeffs[7, 2, 0] = 1e306, 2.5e306
+        if dip:
+            coeffs[2, 0, 1] = 2.0  # a density node below 0
+        fld = DGField(2, coeffs)
+        with pytest.raises(RegionViolationError,
+                           match=r"q=inf not negative \(cell 7\)") as got:
+            limit_field(fld, REGION, LIMITER_IRP)
+        assert got.value.cell == 7
+        out, rep = limit_field(fld, REGION, LIMITER_POSITIVITY)
+        assert rep.quiet == (not dip)
+        assert np.flatnonzero(rep.activated).tolist() == ([2] if dip else [])
+        assert np.array_equal(out.coeffs[7], coeffs[7])
 
     def test_input_not_mutated(self):
         rng = np.random.default_rng(41)
