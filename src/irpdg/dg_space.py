@@ -162,10 +162,15 @@ class DGField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = self.coeffs
+        # a mode-major float64 array is kept as it is, anything else copied
+        # or converted into one
+        if not (type(c) is np.ndarray and c.dtype == float
+                and c.flags.f_contiguous):
+            c = np.ascontiguousarray(np.asarray(c, dtype=float).T).T
         if c.ndim != 3 or c.shape[1:] != (3, self.degree + 1):
             raise ValueError("coeffs must have shape (n_cells, 3, degree+1)")
-        self.coeffs = np.ascontiguousarray(c.T).T  # no copy if mode-major
+        self.coeffs = c
 
     @property
     def n_cells(self) -> int:

@@ -75,7 +75,10 @@ def _pressure_function(p: float, side: PrimitiveState, gamma: float):
     else:  # rarefaction
         z = (gamma - 1.0) / (2.0 * gamma)
         f = 2.0 * c_k / (gamma - 1.0) * ((p / p_k) ** z - 1.0)
-        df = (p / p_k) ** (-(gamma + 1.0) / (2.0 * gamma)) / (rho_k * c_k)
+        try:
+            df = (p / p_k) ** (-(gamma + 1.0) / (2.0 * gamma)) / (rho_k * c_k)
+        except OverflowError:  # f is that steep: a Newton step from p is 0
+            df = inf
     return f, df
 
 

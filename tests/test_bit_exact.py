@@ -346,6 +346,28 @@ def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
     assert calls == [40, 2]
 
 
+def test_limit_field_matches_the_oracle_on_a_lax_solves_fields(monkeypatch):
+    # every field a Lax P2 N=100 solve hands the limiter up to t = 0.05,
+    # nearly all with cells in play: the new field, theta, the three
+    # counts, the fallbacks and the wave speed are the oracles', bit for bit
+    received = []
+
+    def recorded(fld, region, kind):
+        received.append((fld.copy(), region, kind))
+        return limit_field(fld, region, kind)
+
+    monkeypatch.setattr(ti, "limit_field", recorded)
+    run(RunConfig(problem="lax", degree=2, n_cells=100, t_final=0.05))
+    in_play = 0
+    for fld, region, kind in received:
+        rep = assert_limiter_matches(fld, region, kind)
+        coeffs, _ = oracle_limit_field(fld, region, kind)
+        assert rep.max_speed == oracle_max_signal_speed(
+            DGField(fld.degree, coeffs), region.gamma, default_rule(2))
+        in_play += not rep.quiet
+    assert len(received) > 200 and in_play > 0.9 * len(received)
+
+
 def test_limit_field_names_the_first_pending_cell_when_the_fallback_gives_up(
         monkeypatch):
     # with a node test that no cell passes, cells 7 and 23 take five

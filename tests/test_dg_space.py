@@ -184,6 +184,21 @@ class TestProjection:
 
 
 class TestAveragesAndEvaluation:
+    def test_a_field_keeps_a_mode_major_float_array_as_it_is(self):
+        # an RK3 step builds six fields from mode-major arrays, which are
+        # kept; any other input is copied or converted into one
+        modes = np.arange(18.0).reshape(3, 3, 2)  # (degree+1, 3, n_cells)
+        kept = modes.T
+        assert DGField(2, kept).coeffs is kept
+        for other in (np.ascontiguousarray(kept), kept.astype(np.int64),
+                      kept.astype(">f8"), kept.tolist()):
+            coeffs = DGField(2, other).coeffs
+            assert coeffs.dtype == np.float64 and coeffs.dtype.isnative
+            assert coeffs.T.flags.c_contiguous
+            assert np.array_equal(coeffs, kept)
+        with pytest.raises(ValueError, match="coeffs must have shape"):
+            DGField(1, kept)
+
     def test_average_of_pure_mode(self):
         coeffs = np.zeros((1, 3, 3))
         coeffs[0, :, 0] = [1.0, 0.5, 2.5]

@@ -1,5 +1,6 @@
 """Harness tests: presets, error norms, CSV formats, CLI behavior."""
 
+import decimal
 import hashlib
 import math
 import os
@@ -461,6 +462,31 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 51
         p_star = float(re.search(r"p\*=(\S+),", capsys.readouterr().out)[1])
         assert p_star == pytest.approx(30644.2588, rel=1e-5)
+
+    @pytest.mark.parametrize("u", (600.0, 610.0))
+    def test_riemann_exact_solves_a_subnormal_p_star(self, u, tmp_path,
+                                                     capsys):
+        # two rarefactions at gamma = 1.001, with p* = 1.2e-310 and 7e-317
+        # below the smallest normal float: the rarefaction derivative
+        # overflows at the two-rarefaction guess, which is exact here, and
+        # the solver takes that as a Newton step of 0
+        gamma = 1.001
+        star = solve_star(RiemannProblem(PrimitiveState(1.0, -u, 1.0),
+                                         PrimitiveState(1.0, u, 1.0), gamma))
+        with decimal.localcontext() as digits:
+            digits.prec = 50
+            g = decimal.Decimal(gamma)
+            exact = float((1 - (g - 1) * decimal.Decimal(u) / (2 * g.sqrt()))
+                          ** (2 * g / (g - 1)))
+        assert 0.0 < exact < sys.float_info.min
+        assert abs(star.p_star - exact) <= 1e-12 * exact + 5e-324
+        assert star.u_star == 0.0
+        out = str(tmp_path / "rx.csv")
+        assert cli_main(["riemann-exact", "--left", f"1,{-u},1", "--right",
+                         f"1,{u},1", "--gamma", str(gamma), "--time", "0.1",
+                         "--domain=0,1", "--out", out]) == 0
+        p_star = float(re.search(r"p\*=(\S+),", capsys.readouterr().out)[1])
+        assert p_star == pytest.approx(star.p_star, rel=1e-5)
 
     @pytest.mark.parametrize("integrator", ["rk3", "ms3"])
     def test_a_step_that_cannot_reach_t_final_exits_3_at_once(

@@ -8,8 +8,12 @@ not own."""
 import hashlib
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -49,6 +53,26 @@ def test_every_lru_cache_is_bounded():
                     obj.cache_parameters()["maxsize"]
     assert "irpdg.dg_space._operator_tables" in caches
     assert [name for name, size in caches.items() if size is None] == []
+
+
+def test_importing_the_harness_fills_no_cache():
+    # perfbench's setup_s times a fresh interpreter's import of the package:
+    # a table or a solver call made at import time would fill its cache
+    code = ("import json, sys, irpdg.harness\n"
+            "print(json.dumps({f'{m}.{n}': f.cache_info().currsize\n"
+            "    for m, module in list(sys.modules.items())\n"
+            "    if m.startswith('irpdg')\n"
+            "    for n, f in vars(module).items()\n"
+            "    if hasattr(f, 'cache_info')}))")
+    src = str(Path(irpdg.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert {"irpdg.dg_space._operator_tables", "irpdg.dg_space._test_table",
+            "irpdg.riemann_exact.star_of"} <= set(sizes), sizes
+    assert {name: n for name, n in sizes.items() if n} == {}
 
 
 def test_the_limiter_takes_node_values_from_the_wave_speeds_kernel():
