@@ -246,7 +246,8 @@ def _max_speed(rho: np.ndarray, m: np.ndarray, p: np.ndarray,
                gamma: float) -> float:
     """Max of |u| + c, |m/rho| + sqrt(gamma p / rho), over node values.
 
-    Unchecked: the caller has made sure that rho > 0 and p >= 0.
+    Unchecked: the caller has made sure that rho > 0 and p >= 0, and sets
+    the ``errstate``; an inf or nan speed fails the step's CFL check.
     """
     return float((np.abs(m / rho) + np.sqrt(gamma * p / rho)).max())
 
@@ -263,7 +264,8 @@ def global_max_signal_speed(fld: DGField, gamma: float) -> float:
     if bad.any():
         cell = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValueError(f"negative pressure at test node of cell {cell}")
-    return _max_speed(rho, m, p, gamma)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _max_speed(rho, m, p, gamma)
 
 
 def _euler_flux(rho: np.ndarray, m: np.ndarray, E: np.ndarray, gamma: float,

@@ -49,45 +49,20 @@ class FieldLimiterReport:
     ``n_p_active`` and ``n_q_active`` count the cells whose density,
     pressure and entropy constraints acted.  ``quiet`` says that the call
     returned its input field itself: a none-kind call always does, a
-    positivity or irp call when it finds no cell in play.  Every positivity
-    or irp report keeps (rho, m, p) at the test nodes of the field it
-    returned, until ``max_speed`` is read or ``drop_nodes`` called, and
-    ``max_speed`` computes that field's max |u| + c from them when first
-    read, bit for bit what ``global_max_signal_speed`` returns for it.  A
-    limited call's report keeps its first node pass and, apart, the cells in
-    play with their last one; ``max_speed`` joins them in copies, so every
-    array the report holds keeps its bytes.  A none-kind report has no node
-    values, and its ``max_speed`` is None.
+    positivity or irp call when it finds no cell in play.  ``max_speed`` is
+    the returned field's max |u| + c over the test nodes, bit for bit what
+    ``global_max_signal_speed`` returns for it, or None where the call was
+    not asked for it or the kind is none.
     """
 
     def __init__(self, theta: np.ndarray, counts=(0, 0, 0),
-                 fallback_count: int = 0, nodes: tuple | None = None,
+                 fallback_count: int = 0, max_speed: float | None = None,
                  quiet: bool = False):
         self.theta = theta
         self.n_rho_active, self.n_p_active, self.n_q_active = counts
         self.fallback_count = fallback_count
+        self.max_speed = max_speed
         self.quiet = quiet
-        # (rho, m, p, gamma[, cells, rho_c, m_c, p_c]) until max_speed is
-        # read: the cells' columns replace those of rho, m and p
-        self._nodes = nodes
-        self._speed: float | None = None
-
-    def drop_nodes(self) -> None:
-        """Forget the node values kept for ``max_speed``: it stays None
-        unless it was read before."""
-        self._nodes = None
-
-    @property
-    def max_speed(self) -> float | None:
-        if self._nodes is not None:
-            rho, m, p, gamma, *limited = self._nodes
-            if limited:
-                cells, rho_c, m_c, p_c = limited
-                rho, m, p = rho.copy(), m.copy(), p.copy()
-                rho[:, cells], m[:, cells], p[:, cells] = rho_c, m_c, p_c
-            self._speed = _max_speed(rho, m, p, gamma)
-            self._nodes = None
-        return self._speed
 
     @property
     def activated(self) -> np.ndarray:
@@ -131,7 +106,7 @@ def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
 
 
 def limit_field(fld: DGField, region: InvariantRegion,
-                kind: str = LIMITER_IRP):
+                kind: str = LIMITER_IRP, speed: bool = True):
     """Limit every cell of a field; returns (limited field, report).
 
     The input field is not modified.  After limiting, every Gauss-Lobatto
@@ -176,11 +151,10 @@ def limit_field(fld: DGField, region: InvariantRegion,
     the averages are tested once, before the loop.  A cell that a
     rescaling leaves alone is multiplied by exactly 1.0, which keeps its
     bits.  The block is written into a copy of the coefficients, the new
-    field.  Either way the report computes the new field's wave speed, if
-    and when ``max_speed`` is read, from the first pass's node values,
-    where the block's last node pass replaces the columns of the cells in
-    play: over a gathered block the node kernel gives each column the bits
-    it gives over the whole field.
+    field.  With ``speed``, the report carries the new field's wave speed,
+    from the first pass's node values with the block's last pass scattered
+    into the cells in play: the node kernel gives a gathered block's
+    columns the bits it gives them over the whole field.
     """
     if kind not in LIMITER_KINDS:
         raise ValueError(f"unknown limiter kind {kind!r}")
@@ -188,6 +162,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
     if kind == LIMITER_NONE:
         return fld, FieldLimiterReport(theta, quiet=True)
 
+    max_speed = None
     use_q = kind == LIMITER_IRP
     eps = region.eps
     V = _test_table(fld.degree)
@@ -198,8 +173,10 @@ def limit_field(fld: DGField, region: InvariantRegion,
         # every node of an admissible cell has rho >= eps and a finite
         # p >= eps, and so has every node of the limited cells (see below)
         if not live.size:
-            return fld, FieldLimiterReport(
-                theta, nodes=(rho_f, m_f, p_f, region.gamma), quiet=True)
+            if speed:
+                max_speed = _max_speed(rho_f, m_f, p_f, region.gamma)
+            return fld, FieldLimiterReport(theta, max_speed=max_speed,
+                                           quiet=True)
 
         block = np.take(modes, live, axis=2)  # the cells in play, (k, 3, L)
         rho_avg = block[0, 0]
@@ -306,11 +283,14 @@ def limit_field(fld: DGField, region: InvariantRegion,
                 break
             stack[0], stack[1] = rho_n, p_n
             np.negative(q_n, out=stack[2])
-    # The block's last node pass came after its last rescaling, and every
-    # cell passed it: its nodes have rho >= eps and a finite p >= eps.
+        # The block's last node pass came after its last rescaling, and
+        # every cell passed it: its nodes have rho >= eps and a finite
+        # p >= eps.  The first pass's arrays are this call's own.
+        if speed:
+            rho_f[:, live], m_f[:, live], p_f[:, live] = rho_n, m_n, p_n
+            max_speed = _max_speed(rho_f, m_f, p_f, region.gamma)
     out = modes.copy()
     out[:, :, live] = block
     theta[live] = block_theta
     return DGField(fld.degree, out.T), FieldLimiterReport(
-        theta, acted.sum(axis=1).tolist(), fallbacks,
-        (rho_f, m_f, p_f, region.gamma, live, rho_n, m_n, p_n))
+        theta, acted.sum(axis=1).tolist(), fallbacks, max_speed)

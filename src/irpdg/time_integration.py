@@ -5,19 +5,17 @@ Runge-Kutta scheme with an adaptive step, and the two-term SSP multistep
 scheme, which requires a constant step and is bootstrapped by three RK3
 steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
 first Gauss-Lobatto weight of the active test set, the set the limiter
-checks: a positivity or irp limit's report computes that wave speed from
-the node values of the field it returned when read (where the limit finds
-no cell in play, that field is its input itself); a step reads it from the
-one report whose field the next step starts from.  Each step leaves one
+checks: the limit call whose field the next step starts from reports that
+field's wave speed, and no other limit computes one.  Each step leaves one
 record (``StepDiagnostics``): its limiter counts are taken as the step
 ends, its conserved totals and minimum average entropy a block of steps at
 a time, vectorized over the block, with the same bits as one step at a
 time.  A stage is computed in place in the residual the step's operator
 call just returned, which is the caller's to overwrite: the three RK3
 steps that start an MS3 run each compute their first residual afresh,
-beside the one the run keeps in its history.  The stage
-arithmetic on mode-major coefficients (``DGField``) and residuals gives
-mode-major arrays, so no step copies a field into another layout.
+beside the one the run keeps in its history.  The stage arithmetic on
+mode-major coefficients (``DGField``) and residuals gives mode-major
+arrays, so no step copies a field into another layout.
 """
 
 from __future__ import annotations
@@ -93,7 +91,8 @@ def _dt_for_speed(speed: float, h: float, cfl: float, w_hat_1: float,
     if t_final is not None and t + dt > t_final:
         dt = t_final - t
     if not (dt / h) * speed <= 0.5 * w_hat_1 * cfl * (1.0 + 1e-12):
-        raise ValueError("CFL invariant violated")
+        raise ValueError(
+            f"CFL invariant violated (speed {speed:.6g}, dt {dt:.6g})")
     return dt
 
 
@@ -112,14 +111,15 @@ def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
     ``rhs`` maps a field to its residual coefficients, a fresh array that
     the step then owns: it computes each stage in place in the residual
     it was built from (IEEE + and * commute, so with the bits of the
-    textbook formulas).  ``limit`` maps a field to (limited field, report);
-    the final stage is always limited, intermediate stages only when
-    ``per_stage``.  The step only reads ``fld``.
+    textbook formulas).  ``limit`` maps a field and whether to compute its
+    wave speed to (limited field, report); the final stage is always
+    limited, with its speed, intermediate stages only when ``per_stage``,
+    without.  The step only reads ``fld``.
     """
     reports = []
 
-    def _limit(f: DGField) -> DGField:
-        limited, rep = limit(f)
+    def _limit(f: DGField, speed: bool) -> DGField:
+        limited, rep = limit(f, speed)
         reports.append(rep)
         return limited
 
@@ -129,7 +129,7 @@ def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
     s += w
     s1 = DGField(fld.degree, s)
     if per_stage:
-        s1 = _limit(s1)
+        s1 = _limit(s1, False)
     s = rhs(s1)  # 0.75 * w + 0.25 * (s1 + dt * rhs(s1))
     s *= dt
     s += s1.coeffs
@@ -137,14 +137,14 @@ def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
     s += 0.75 * w
     s2 = DGField(fld.degree, s)
     if per_stage:
-        s2 = _limit(s2)
+        s2 = _limit(s2, False)
     s = rhs(s2)  # (w + 2 * (s2 + dt * rhs(s2))) / 3
     s *= dt
     s += s2.coeffs
     s *= 2.0
     s += w
     s /= 3.0
-    return _limit(DGField(fld.degree, s)), reports
+    return _limit(DGField(fld.degree, s), True), reports
 
 
 def ssp_ms3_step(w_now: np.ndarray, r_now: np.ndarray, w_old: np.ndarray,
@@ -238,15 +238,10 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     the wave speed that is also its first step's alpha.  MS3 keeps the
     (coefficients, residual) pairs of its last four steps and takes RK3
     steps until it has four; no step writes into them, as an RK3 step
-    computes its own first residual.  A step takes the
-    wave speed of its field from the limiter report that returned the
-    field (the initial limit's, or the last of the step before), which
-    computes it when read, so an RK3 step's first two stage reports never
-    compute theirs; each limit call drops the node values of the report
-    before it, whose speed is read by then or never will be.
-    ``global_max_signal_speed`` evaluates the speed only where that report
-    has none: after a none-kind limit, which each step calls where it would
-    call any other kind.
+    computes its own first residual.  A step takes the wave speed of its
+    field from the report of the limit that returned it (the initial
+    limit's, or the last of the step before); ``global_max_signal_speed``
+    evaluates it only after a none-kind limit, whose report has none.
     ``_diagnostics`` records each step, the initial limit as step 0, into a
     block of at most 64 KiB of cell averages, which it turns into
     StepDiagnostics whenever it fills; ``evolve`` turns the part left after
@@ -267,15 +262,8 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     per_stage = opts.placement == PER_STAGE
     multistep = opts.integrator == MS3
 
-    last = None  # the report of the last limit call
-
-    def limit(f: DGField):
-        # the last report's speed is read by now or never will be
-        nonlocal last
-        if last is not None:
-            last.drop_nodes()
-        limited, last = limit_field(f, region, opts.limiter_kind)
-        return limited, last
+    def limit(f: DGField, speed: bool = True):
+        return limit_field(f, region, opts.limiter_kind, speed)
 
     step, t, n_steps = 0, 0.0, 0
     t_tol = _END_TOL * max(1.0, opts.t_final)
@@ -285,7 +273,7 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
         fld, rep0 = limit(fld)
         theta_last = rep0.theta
         _diagnostics(0, 0.0, 0.0, fld, block, [rep0])
-        speed = rep0.max_speed  # the wave speed of fld, where already known
+        speed = rep0.max_speed  # the wave speed of fld, None for none kind
         if multistep and opts.t_final > 0.0:
             # Constant dt for the whole run, frozen from the initial signal
             # speed and chosen to land exactly on t_final.

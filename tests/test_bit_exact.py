@@ -349,12 +349,13 @@ def test_limit_field_evaluates_node_states_once_per_round(monkeypatch):
 def test_limit_field_matches_the_oracle_on_a_lax_solves_fields(monkeypatch):
     # every field a Lax P2 N=100 solve hands the limiter up to t = 0.05,
     # nearly all with cells in play: the new field, theta, the three
-    # counts, the fallbacks and the wave speed are the oracles', bit for bit
+    # counts, the fallbacks and the wave speed are the oracles', bit for
+    # bit, also for the stage limits that the solve asks for no speed
     received = []
 
-    def recorded(fld, region, kind):
+    def recorded(fld, region, kind, speed=True):
         received.append((fld.copy(), region, kind))
-        return limit_field(fld, region, kind)
+        return limit_field(fld, region, kind, speed)
 
     monkeypatch.setattr(ti, "limit_field", recorded)
     run(RunConfig(problem="lax", degree=2, n_cells=100, t_final=0.05))
@@ -719,6 +720,35 @@ def test_a_limited_call_reports_the_wave_speed_of_its_field(degree, n_cells):
             assert rep.max_speed == global_max_signal_speed(out, GAMMA)
 
 
+@pytest.mark.parametrize("field", ("random", "dip", "fallback"))
+@pytest.mark.parametrize("kind", (LIMITER_POSITIVITY, LIMITER_IRP))
+@pytest.mark.parametrize("degree", DEGREES)
+def test_a_limit_without_its_speed_limits_alike(degree, kind, field):
+    # a call asked for no wave speed returns the same field, theta, counts
+    # and fallbacks, bit for bit, and no speed: on many cells in play, on a
+    # few density dips in a quiet field, and on dips that take fallbacks
+    rng = np.random.default_rng(degree)
+    region = REGION
+    if field == "random":
+        fld = random_field(rng, 200, degree, 1.0)
+    elif field == "dip":
+        fld = random_field(rng, 200, degree, 0.01)
+        fld.coeffs[[5, 90, 91], 0, 1] = 2.0 * fld.coeffs[[5, 90, 91], 0, 0]
+    else:
+        fld = density_dip_field(rng, 300, degree)
+        region = InvariantRegion(GAMMA, s0=-10.0)
+    out, rep = limit_field(fld, region, kind, speed=False)
+    want, expected = limit_field(fld, region, kind)
+    assert same_bits(out.coeffs, want.coeffs)
+    assert same_bits(rep.theta, expected.theta)
+    for name in ("n_rho_active", "n_p_active", "n_q_active",
+                 "fallback_count", "quiet"):
+        assert getattr(rep, name) == getattr(expected, name), name
+    assert rep.n_activated > 0
+    assert (rep.fallback_count > 0) == (field == "fallback")
+    assert rep.max_speed is None and expected.max_speed is not None
+
+
 @pytest.mark.parametrize("n_cells", (1, 2, 2560))
 @pytest.mark.parametrize("degree", DEGREES)
 def test_global_max_signal_speed_bit_exact_at_edge_sizes(degree, n_cells):
@@ -823,13 +853,20 @@ def test_ms3_evaluates_the_wave_speed_once_per_step(monkeypatch):
               t_final=0.02),
     RunConfig(problem="smooth_advection", degree=3, n_cells=16,
               integrator="ms3", limiter_placement="per_step", t_final=0.02),
-), ids=("rk3_per_stage", "advection_ms3"))
+    RunConfig(problem="lax", degree=2, n_cells=40, t_final=0.02),
+), ids=("rk3_per_stage", "advection_ms3", "lax_rk3_limited"))
 def test_a_quiet_run_computes_one_wave_speed_per_step(monkeypatch, config):
-    # these runs limit no cell, so every report is quiet; a report
-    # computes its speed when read, and a step reads only the last one of
-    # its stage reports: one speed for the initial limit and one per step
+    # the advection runs limit no cell, so every report is quiet; every
+    # stage limit of the Lax run has cells in play.  Only the limit that
+    # ends a step computes a speed, the one the next step reads: one speed
+    # for the initial limit and one per step
     original = dg_space._max_speed
-    speeds, fresh = [], []
+    speeds, fresh, quiet = [], [], []
+
+    def limit(*args):
+        limited, rep = limit_field(*args)
+        quiet.append(rep.quiet)
+        return limited, rep
 
     def counted(*args):
         speeds.append(1)
@@ -841,8 +878,11 @@ def test_a_quiet_run_computes_one_wave_speed_per_step(monkeypatch, config):
             monkeypatch.setattr(module, "_max_speed", counted)
     monkeypatch.setattr(ti, "global_max_signal_speed",
                         lambda *args: fresh.append(1))
+    monkeypatch.setattr(ti, "limit_field", limit)
     steps = run(config).result.diagnostics[-1].step
     assert steps > 3 and len(speeds) == steps + 1 and not fresh
+    # the Lax run's initial limit, of the L2 projection, is quiet
+    assert quiet[1:] == [config.problem != "lax"] * (len(quiet) - 1)
 
 
 # SHA-256 of ``final.coeffs`` as the einsum-based operator left them (numpy
@@ -895,8 +935,9 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
     # wave speed of its field evaluated afresh
     speeds, alphas, step_starts = [], [], []
 
-    def checked_limit(fld, region, kind):
-        limited, rep = limit_field(fld, region, kind)
+    def checked_limit(fld, region, kind, speed=True):
+        limited, rep = limit_field(fld, region, kind, speed)
+        assert (rep.max_speed is None) == (not speed or kind == "none")
         if rep.max_speed is not None:
             speeds.append(rep.max_speed)
             assert rep.max_speed == global_max_signal_speed(limited,

@@ -642,6 +642,23 @@ class TestCli:
             "solver abort: negative pressure at test node of cell 49"]
         assert not (tmp_path / "never.csv").exists()
 
+    @pytest.mark.parametrize("kind", ("none", "positivity", "irp"))
+    def test_a_wave_speed_above_the_float_range_aborts_naming_it(
+            self, kind, tmp_path):
+        # p/rho of the left state overflows at its test nodes, so the wave
+        # speed is inf and the CFL check aborts; the one line names the
+        # speed, and no RuntimeWarning of the overflow comes before it
+        proc = subprocess.run(
+            [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
+             "custom-riemann", "--left", "1e-10,0,1e300", "--right", "1,0,1",
+             "--cells", "20", "--tfinal", "0.1", "--limiter", kind,
+             "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "solver abort: CFL invariant violated (speed inf, dt 0)"]
+        assert not (tmp_path / "never.csv").exists()
+
     def test_per_step_rk3_abort_points_to_per_stage(self, tmp_path):
         # Einfeldt's 1-2-3 problem with the limiter after the assembled RK3
         # step only: the line names the cell once and points to per_stage

@@ -75,7 +75,7 @@ class TestDtForSpeed:
             _dt_for_speed(wave_speed(fld), 0.25, 1.0, 1.0 / 6.0)
 
 
-def identity_limit(fld):
+def identity_limit(fld, speed):
     """A limit that changes nothing and reports nothing."""
     return fld, None
 
@@ -101,18 +101,19 @@ class TestSspRk3:
     def test_stage_count_with_limiter(self):
         calls = []
 
-        def fake_limit(f):
-            calls.append(1)
+        def fake_limit(f, speed):
+            calls.append(speed)
             return f, None
 
+        # only the assembled step's limit asks for its field's wave speed
         fld = scalar_field(1.0)
         ssp_rk3_step(fld, 0.1, lambda f: np.zeros_like(f.coeffs),
                      limit=fake_limit, per_stage=True)
-        assert len(calls) == 3
+        assert calls == [False, False, True]
         calls.clear()
         ssp_rk3_step(fld, 0.1, lambda f: np.zeros_like(f.coeffs),
                      limit=fake_limit, per_stage=False)
-        assert len(calls) == 1  # only the assembled step
+        assert calls == [True]  # only the assembled step
 
 
 class TestSspMs3:
