@@ -227,11 +227,14 @@ def main(argv=None) -> int:
             ZeroDivisionError) as err:
         detail = ""
         if isinstance(err, RegionViolationError):
-            where = f"step {err.step}"
-            # the average test's message names its cell already
+            # the frozen-dt check names its step already, the average test
+            # its cell
+            where = [] if f"at step {err.step} " in str(err) \
+                else [f"step {err.step}"]
             if err.cell is not None and f"(cell {err.cell})" not in str(err):
-                where += f", cell {err.cell}"
-            detail = f" ({where})"
+                where.append(f"cell {err.cell}")
+            if where:
+                detail = f" ({', '.join(where)})"
             if err.note:
                 detail += f"; {err.note}"
         print(f"solver abort: {err}{detail}", file=sys.stderr)

@@ -95,13 +95,12 @@ def _node_states(modes: np.ndarray, region: InvariantRegion,
     return rho, m, p, q
 
 
-def _admissible(rho, p, q, eps: float, use_q: bool) -> np.ndarray:
-    """Per cell: every node has rho >= eps, a finite p >= eps and, with
-    ``use_q``, q <= Q_SLACK (nodes passing the first two tests lie in the
-    positive cone, so their q is meaningful)."""
+def _admissible(rho, p, q, eps: float, q_max: float) -> np.ndarray:
+    """Per cell: every node has rho >= eps, a finite p >= eps and q <= q_max
+    (nodes passing the first two tests lie in the positive cone, so their q
+    is not nan; q_max = inf drops the entropy test)."""
     ok = (rho >= eps) & (p >= eps) & (p < np.inf)
-    if use_q:
-        ok &= q <= Q_SLACK
+    ok &= q <= q_max
     return np.logical_and.reduce(ok, axis=0)
 
 
@@ -163,13 +162,14 @@ def limit_field(fld: DGField, region: InvariantRegion,
         return fld, FieldLimiterReport(theta, quiet=True)
 
     max_speed = None
-    use_q = kind == LIMITER_IRP
+    # the entropy row's bound: the positivity kind leaves q unbounded
+    q_max = Q_SLACK if kind == LIMITER_IRP else np.inf
     eps = region.eps
     V = _test_table(fld.degree)
     modes = fld.coeffs.T  # mode-major: (k, 3, n), C-contiguous
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho_f, m_f, p_f, q_f = _node_states(modes, region, V)
-        live = np.flatnonzero(~_admissible(rho_f, p_f, q_f, eps, use_q))
+        live = np.flatnonzero(~_admissible(rho_f, p_f, q_f, eps, q_max))
         # every node of an admissible cell has rho >= eps and a finite
         # p >= eps, and so has every node of the limited cells (see below)
         if not live.size:
@@ -192,10 +192,9 @@ def limit_field(fld: DGField, region: InvariantRegion,
         # constraint in round 0, so the first failing cell raises.
         rho_lo, p_lo, negq_lo, negp_lo = avg.min(axis=1).tolist()
         if not (rho_lo > eps and p_lo > eps and negp_lo > -np.inf
-                and (not use_q or negq_lo >= -Q_SLACK)):
+                and negq_lo >= -q_max):
             inside = (rho_avg > eps) & (p_avg > eps) & (p_avg < np.inf)
-            if use_q:
-                inside &= q_avg <= Q_SLACK
+            inside &= q_avg <= q_max
             i = int(np.argmin(inside))
             c = int(live[i])
             if not rho_avg[i] > eps:
@@ -215,7 +214,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
         num[2] = avg[2]
         if negq_lo <= 0.0:
             num[2, q_avg >= 0.0] = 0.0
-        bounds = np.array([[eps], [eps], [-Q_SLACK if use_q else -np.inf]])
+        bounds = np.array([[eps], [eps], [-q_max]])
         # pass 0: the first pass's columns, which no cell passes; it counts
         # a non-finite p as -inf
         stack = np.empty((3, V.shape[0], live.size))  # rho, p, -q at nodes
@@ -278,7 +277,7 @@ def limit_field(fld: DGField, region: InvariantRegion,
             block[1:] *= step
             block_theta = block_theta * step
             rho_n, m_n, p_n, q_n = _node_states(block, region, V)
-            admissible = _admissible(rho_n, p_n, q_n, eps, use_q)
+            admissible = _admissible(rho_n, p_n, q_n, eps, q_max)
             if np.count_nonzero(admissible) == live.size:
                 break
             stack[0], stack[1] = rho_n, p_n

@@ -1,25 +1,21 @@
 """SSP time integration of the semi-discrete DG system with limiting.
 
 Two third-order integrators share one step loop: the three-stage SSP
-Runge-Kutta scheme with an adaptive step, and the two-term SSP multistep
-scheme, which requires a constant step and is bootstrapped by three RK3
-steps.  The time step obeys dt/h * max(|u| + c) <= w1/2 where w1 is the
-first Gauss-Lobatto weight of the active test set, the set the limiter
-checks: the limit call whose field the next step starts from reports that
-field's wave speed, and no other limit computes one.  Each step leaves one
-record (``StepDiagnostics``): its limiter counts are taken as the step
-ends, its conserved totals and minimum average entropy a block of steps at
-a time, vectorized over the block, with the same bits as one step at a
-time.  A stage is computed in place in the residual the step's operator
-call just returned, which is the caller's to overwrite: the three RK3
-steps that start an MS3 run each compute their first residual afresh,
-beside the one the run keeps in its history.  The stage arithmetic on
-mode-major coefficients (``DGField``) and residuals gives mode-major
-arrays, so no step copies a field into another layout.
+Runge-Kutta scheme (RK3), and the two-term SSP multistep scheme (MS3),
+which needs a constant step and starts with three RK3 steps.  The head of
+the loop gives every step its wave speed and its dt, with dt/h *
+max(|u| + c) <= w1/2, where w1 is the first Gauss-Lobatto weight of the
+test set the limiter checks.  Each step leaves one record
+(``StepDiagnostics``), built a block of steps at a time with the bits of
+one step at a time.  A stage is computed in place in the residual its
+operator call returned, and the stage arithmetic on mode-major
+coefficients (``DGField``) gives mode-major arrays, so no step copies a
+field into another layout.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -94,14 +90,6 @@ def _dt_for_speed(speed: float, h: float, cfl: float, w_hat_1: float,
         raise ValueError(
             f"CFL invariant violated (speed {speed:.6g}, dt {dt:.6g})")
     return dt
-
-
-def _check_reaches_t_final(dt: float, t_tol: float, step: int) -> None:
-    """A CFL step not above the end tolerance cannot bring t to t_final."""
-    if not dt > t_tol:
-        raise ValueError(
-            f"time step {dt:.6g} at step {step} is not above the end "
-            f"tolerance {t_tol:.6g}; t_final cannot be reached")
 
 
 def ssp_rk3_step(fld: DGField, dt: float, rhs, limit,
@@ -233,24 +221,19 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     """March the DG solution to t_final with limiting; collects diagnostics.
 
     The incoming field (normally a fresh L2 projection) is limited once
-    before stepping.  RK3 takes each dt from the wave speed that also gives
-    the step's flux alpha.  MS3 freezes one dt that lands on t_final, from
-    the wave speed that is also its first step's alpha.  MS3 keeps the
-    (coefficients, residual) pairs of its last four steps and takes RK3
-    steps until it has four; no step writes into them, as an RK3 step
-    computes its own first residual.  A step takes the wave speed of its
-    field from the report of the limit that returned it (the initial
-    limit's, or the last of the step before); ``global_max_signal_speed``
-    evaluates it only after a none-kind limit, whose report has none.
-    ``_diagnostics`` records each step, the initial limit as step 0, into a
-    block of at most 64 KiB of cell averages, which it turns into
-    StepDiagnostics whenever it fills; ``evolve`` turns the part left after
-    the last step.  A RegionViolationError raised by the limiter aborts
-    the run with the failing step index attached (0 for that first limit)
-    and, where an RK3 step with per_step placement failed, a note that
-    this placement is outside the IRP theory.  A CFL step (before
-    any clip to t_final) not above the end tolerance raises ValueError,
-    since t could never reach t_final.
+    before stepping.  A step's wave speed is the one the limit that
+    returned its field reported; after a none-kind limit, which reports
+    none, ``global_max_signal_speed`` evaluates it.  That speed is the
+    flux's alpha and sets the CFL dt.  RK3 takes a dt every step; MS3 takes
+    one at step 0, shortened to land on t_final, and checks every step
+    against it.  MS3 keeps the (coefficients, residual) pairs of its last
+    four steps and takes RK3 steps until it has four; no step writes into
+    them, as an RK3 step computes its own first residual.  ``_diagnostics``
+    records each step, the initial limit as step 0.  A RegionViolationError
+    aborts the run with the failing step attached (0 for the initial
+    limit) and, where an RK3 step with per_step placement failed, a note
+    that this placement is outside the IRP theory.  A CFL dt not above the
+    end tolerance raises ValueError, since t could never reach t_final.
     """
     if opts.t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -265,35 +248,32 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     def limit(f: DGField, speed: bool = True):
         return limit_field(f, region, opts.limiter_kind, speed)
 
-    step, t, n_steps = 0, 0.0, 0
+    step, t = 0, 0.0
     t_tol = _END_TOL * max(1.0, opts.t_final)
     history = deque(maxlen=4)
     block = _RecordBlock(fld.n_cells, mesh.h, gamma)
     try:
-        fld, rep0 = limit(fld)
-        theta_last = rep0.theta
-        _diagnostics(0, 0.0, 0.0, fld, block, [rep0])
-        speed = rep0.max_speed  # the wave speed of fld, None for none kind
-        if multistep and opts.t_final > 0.0:
-            # Constant dt for the whole run, frozen from the initial signal
-            # speed and chosen to land exactly on t_final.
-            if speed is None:
-                speed = global_max_signal_speed(fld, gamma)
-            dt_raw = _dt_for_speed(speed, mesh.h, cfl, w_hat_1)
-            _check_reaches_t_final(dt_raw, t_tol, step)
-            n_steps = max(1, int(np.ceil(opts.t_final / dt_raw - 1e-12)))
-            dt = opts.t_final / n_steps
-        while step < n_steps if multistep else opts.t_final - t > t_tol:
-            # one wave-speed evaluation gives the flux's alpha and RK3's step
-            alpha = global_max_signal_speed(fld, gamma) \
-                if speed is None else speed
-            if not multistep:
+        fld, rep = limit(fld)
+        reports = [rep]
+        _diagnostics(0, 0.0, 0.0, fld, block, reports)
+        while opts.t_final - t > t_tol:
+            # fld's wave speed: the step's flux alpha, and the speed of its dt
+            alpha = reports[-1].max_speed
+            if alpha is None:  # a none-kind limit reports no speed
+                alpha = global_max_signal_speed(fld, gamma)
+            if step == 0 or not multistep:
                 dt = _dt_for_speed(alpha, mesh.h, cfl, w_hat_1, t, opts.t_final)
                 # a step clipped to t_final is above t_tol by the loop test
-                _check_reaches_t_final(dt, t_tol, step)
-            elif (dt / mesh.h) * alpha > 0.5 * w_hat_1 * (1.0 + 1e-12):
-                # The frozen dt must keep satisfying the theoretical CFL
-                # bound as the wave speed evolves; cfl_fraction < 1 provides
+                if not dt > t_tol:
+                    raise ValueError(
+                        f"time step {dt:.6g} at step {step} is not above the "
+                        f"end tolerance {t_tol:.6g}; t_final cannot be reached")
+                if multistep:
+                    # MS3 keeps its first dt, shortened to land on t_final
+                    dt = opts.t_final / math.ceil(opts.t_final / dt - 1e-12)
+            if multistep and (dt / mesh.h) * alpha > 0.5 * w_hat_1 * (1.0 + 1e-12):
+                # The frozen dt must stay within the forward-Euler bound
+                # w1/2 as the wave speed evolves; cfl_fraction < 1 provides
                 # the headroom.
                 raise RegionViolationError(
                     f"frozen multistep dt violates the CFL bound at step {step}"
@@ -321,8 +301,6 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
                     raise
             step += 1
             t = step * dt if multistep else t + dt
-            theta_last = reports[-1].theta
-            speed = reports[-1].max_speed
             _diagnostics(step, t, dt, fld, block, reports)
     except RegionViolationError as err:
         err.step = step
@@ -330,5 +308,4 @@ def evolve(fld: DGField, mesh: Mesh1D, region: InvariantRegion,
     block.flush()
     diagnostics = block.records
     min_entropy = float(np.min([d.min_avg_entropy for d in diagnostics]))
-    return EvolveResult(final=fld, diagnostics=diagnostics,
-                        theta_last=theta_last, min_avg_entropy=min_entropy)
+    return EvolveResult(fld, diagnostics, reports[-1].theta, min_entropy)

@@ -964,6 +964,15 @@ def test_limiter_supplied_speeds_equal_the_wave_speed(monkeypatch, name):
     assert len(alphas) == out.result.diagnostics[-1].step > 0
 
 
+@pytest.mark.parametrize("name", NO_SPEED_REPORTED)
+def test_a_none_kind_run_evaluates_the_wave_speed_once_per_step(monkeypatch,
+                                                                 name):
+    # the none kind reports no speed, so every step's, RK3's and MS3's
+    # alike, comes from the one evaluation at the head of evolve's loop
+    fresh, supplied, steps = count_wave_speeds(monkeypatch, SPEED_RUNS[name])
+    assert fresh == steps > 3 and supplied == 0
+
+
 # ``evolve`` builds its step records a block of steps at a time.  The
 # oracles below build one record per step, as the loop once did.
 

@@ -677,6 +677,21 @@ class TestCli:
             "theory: use per_stage placement" in line
         assert not (tmp_path / "never.csv").exists()
 
+    def test_a_frozen_dt_abort_names_its_step_once(self, tmp_path):
+        # cfl 1.5 puts MS3's frozen dt over the CFL bound at step 0; the
+        # message names that step, and the line used to add "(step 0)"
+        proc = subprocess.run(
+            [sys.executable, "-m", "irpdg.cli", "solve", "--problem",
+             "smooth_advection", "--integrator", "ms3", "--cfl", "1.5",
+             "--tfinal", "0.01", "--out", str(tmp_path / "never.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("solver abort: frozen multistep dt violates "
+                               "the CFL bound at step 0 (speed ")
+        assert line.count("step 0") == 1
+        assert not (tmp_path / "never.csv").exists()
+
     def test_zero_node_density_exits_3(self, monkeypatch, capsys):
         def divide_by_zero(cfg):
             raise ZeroDivisionError("zero density at a cell interface trace")

@@ -297,6 +297,20 @@ class TestEvolve:
         assert [(d.step, d.t, d.dt) for d in res.diagnostics] == [(0, 0.0, 0.0)]
         assert calls == []
 
+    @pytest.mark.parametrize("integrator", ("rk3", "ms3"))
+    @pytest.mark.parametrize("t_final", (1e-13, 1e-12))
+    def test_a_final_time_within_the_end_tolerance_takes_no_step(
+            self, t_final, integrator):
+        # the end tolerance is 1e-12 for t_final <= 1, so the run starts at
+        # its end: MS3 used to take one step of dt = t_final
+        fld, mesh, region = build_smooth_problem(16)
+        res = evolve(fld, mesh, region,
+                     EvolveOptions(t_final=t_final, integrator=integrator))
+        expected, rep = limit_field(fld, region)
+        np.testing.assert_array_equal(res.final.coeffs, expected.coeffs)
+        np.testing.assert_array_equal(res.theta_last, rep.theta)
+        assert [(d.step, d.t, d.dt) for d in res.diagnostics] == [(0, 0.0, 0.0)]
+
     def test_ms3_without_limiter_matches_the_plain_scheme(self):
         # limiter none with per_step placement: the bits of a multistep run
         # spelled out step by step, three RK3 steps then the two-term update
